@@ -588,8 +588,8 @@ size_t ConcurrentPMA::LocateSegment(const Structure& snap, const Gate& gate,
   // and inserting at segment 0, position 0 is exactly right.
   const Storage& st = *snap.storage;
   const size_t idx =
-      hotpath::LocateRoute(st.routes().data() + gate.seg_begin(),
-                           gate.seg_end() - gate.seg_begin(), key);
+      hotpath::TaggedLocateRoute(st.routes().data() + gate.seg_begin(),
+                                 gate.seg_end() - gate.seg_begin(), key);
   if (idx != hotpath::kNoRoute) return gate.seg_begin() + idx;
   // Key precedes every stored key of the chunk (rare — only next to the
   // low fence): fall back to the first non-empty segment.
@@ -620,24 +620,6 @@ void ConcurrentPMA::MaybeRequestShrink(Structure* snap) {
 // windows (0 = always blocking; CPMA_OPTIMISTIC_RETRIES env override).
 // Protocol and ordering argument: concurrent_pma.h / common/latches.h.
 
-size_t ConcurrentPMA::LocateSegmentOptimistic(const Structure& snap,
-                                              const Gate& gate,
-                                              Key key) const {
-  // Same routing contract as LocateSegment (see its comment), but with
-  // tagged route loads: on a racing rebalance the slice may be torn,
-  // which can only misdirect the search inside the chunk — the caller's
-  // version validation then rejects the window.
-  const Storage& st = *snap.storage;
-  const size_t idx =
-      hotpath::TaggedLocateRoute(st.routes().data() + gate.seg_begin(),
-                                 gate.seg_end() - gate.seg_begin(), key);
-  if (idx != hotpath::kNoRoute) return gate.seg_begin() + idx;
-  for (size_t s = gate.seg_begin(); s < gate.seg_end(); ++s) {
-    if (st.card(s) > 0) return s;
-  }
-  return gate.seg_begin();
-}
-
 ConcurrentPMA::OptRead ConcurrentPMA::TryOptimisticFind(const Structure& snap,
                                                         Key key,
                                                         Value* value) const {
@@ -665,7 +647,7 @@ ConcurrentPMA::OptRead ConcurrentPMA::TryOptimisticFind(const Structure& snap,
       }
       continue;
     }
-    const size_t s = LocateSegmentOptimistic(snap, gate, key);
+    const size_t s = LocateSegment(snap, gate, key);
     const Item* seg = st.segment(s);
     // Clamp a (possibly racing) cardinality so the search never leaves
     // the segment; any stored card is <= B, the min is belt-and-braces.
@@ -735,264 +717,287 @@ bool ConcurrentPMA::Find(Key key, Value* value) const {
   }
 }
 
-ConcurrentPMA::OptGate ConcurrentPMA::TryOptimisticGateSum(
-    const Structure& snap, const Gate& gate, Key cursor, bool have_cursor,
-    uint64_t* sum_out, Key* gate_high) const {
-  const Storage& st = *snap.storage;
-  const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
-  for (int attempt = 0; attempt < optimistic_retries_; ++attempt) {
-    const uint64_t v = gate.version().ReadBegin();
-    if (!SeqVersion::Stable(v)) continue;
-    if (gate.invalidated_relaxed()) return OptGate::kRestart;
-    const Key hi = gate.high_fence();
-    uint64_t local = 0;
-    bool ok = true;
-    for (size_t s = gate.seg_begin(); s < gate.seg_end(); ++s) {
-      if (s + 1 < gate.seg_end()) {
-        hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
-      }
-      const Item* seg = st.segment(s);
-      const uint32_t card = std::min(st.card(s), B);
-      uint32_t i = 0;
-      if (have_cursor) {
-        i = static_cast<uint32_t>(
-            hotpath::TaggedSegmentLowerBound(seg, card, cursor));
-        if (i < card && TaggedLoad(&seg[i].key) == cursor) ++i;  // after
-      }
-      for (; i < card; ++i) local += TaggedLoad(&seg[i].value);
-      // Segment-copy granularity: one failed window discards at most
-      // one segment's worth of torn accumulation.
-      if (!gate.version().Validate(v)) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
-    stat_optimistic_gate_reads_.fetch_add(1, std::memory_order_relaxed);
-    *sum_out = local;
-    *gate_high = hi;
-    return OptGate::kOk;
-  }
-  return OptGate::kFallback;
-}
+namespace {
 
-uint64_t ConcurrentPMA::SumAll() const {
-  uint64_t sum = 0;
-  // The cursor is the last *validated* fence key: everything <= cursor
-  // is already folded, so restarts and fallbacks resume without
-  // re-reading chunks that validated.
-  Key cursor = 0;
-  bool have_cursor = false;
-  EpochGuard guard(gc_);
-  for (;;) {
+// The VisitGates readers. Take(run, n) runs inside the window or the
+// latch hold (tagged loads only): it adds up to n items of the run to
+// what the reader holds and returns how many it took (fewer means it is
+// full). Emit() runs after validation or release, hands everything held
+// over and returns false to stop; Drop() forgets it (a torn window).
+
+/// Scan: stages at most kStage items on the stack and emits them
+/// straight from the validated copy, so a short scan stops the moment
+/// its callback does and never allocates.
+class BoundedScanReader {
+ public:
+  explicit BoundedScanReader(const ScanCallback& cb) : cb_(cb) {}
+  size_t Take(const Item* run, size_t n) {
+    const size_t m = std::min(n, kStage - n_);
+    hotpath::TaggedReadItems(buf_ + n_, run, m);
+    n_ += m;
+    return m;
+  }
+  bool Emit() {
+    const size_t n = n_;
+    n_ = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (!cb_(buf_[i].key, buf_[i].value)) return false;
+    }
+    return true;
+  }
+  void Drop() { n_ = 0; }
+
+ private:
+  static constexpr size_t kStage = 128;
+  const ScanCallback& cb_;
+  Item buf_[kStage];
+  size_t n_ = 0;
+};
+
+/// ScanCursor: stages one run into the caller's (empty) vector, is full
+/// once it holds one, and pauses the visit when it is handed over.
+class ChunkReader {
+ public:
+  explicit ChunkReader(std::vector<Item>* out) : out_(out) {}
+  size_t Take(const Item* run, size_t n) {
+    if (!out_->empty()) return 0;
+    out_->resize(n);
+    hotpath::TaggedReadItems(out_->data(), run, n);
+    return n;
+  }
+  bool Emit() { return false; }
+  void Drop() { out_->clear(); }
+
+ private:
+  std::vector<Item>* out_;
+};
+
+/// SumAll: folds runs in place and commits the fold once the window
+/// validated — copy-free.
+class SumReader {
+ public:
+  size_t Take(const Item* run, size_t n) {
+    uint64_t fold = 0;  // a local: held_ could alias the items
+    for (size_t i = 0; i < n; ++i) fold += TaggedLoad(&run[i].value);
+    held_ += fold;
+    return n;
+  }
+  bool Emit() {
+    sum_ += held_;
+    held_ = 0;
+    return true;
+  }
+  void Drop() { held_ = 0; }
+  uint64_t sum() const { return sum_; }
+
+ private:
+  uint64_t sum_ = 0;
+  uint64_t held_ = 0;
+};
+
+}  // namespace
+
+// One gate-visit routine serves Scan, ScanCursor and SumAll. It walks
+// the items in [*from, max] one segment run at a time, starting at the
+// segment of the resume key *from. The reader takes each run inside the
+// gate's seqlock window and gets to emit it only once the window
+// validated, so consumers never see torn data. Once the gate's
+// optimistic budget is spent, runs are taken under the READ latch
+// instead, gathered until the reader is full and emitted after the
+// release, so consumers never run inside a latch. *from only ever
+// advances: past each emitted run, and to high fence + 1 once a gate is
+// done. A failed window therefore discards at most one run, and a
+// restart or fallback resumes without re-emitting anything. When a
+// fence moved right between two gate visits, the resume key lies below
+// the next gate's low fence: the visit walks left to the gate that now
+// holds it instead of skipping the keys the move shifted there. Returns
+// true when the range is exhausted, false when Emit stopped the visit.
+template <typename Reader>
+bool ConcurrentPMA::VisitGates(EpochGuard* guard, Key* from, Key max,
+                               Reader* reader) const {
+  for (;;) {  // one pass per snapshot; a resize restarts at *from
+    if (*from > max) return true;
     Structure* snap = structure_.load(std::memory_order_acquire);
     const Storage& st = *snap->storage;
-    size_t gid = have_cursor ? snap->index->Lookup(cursor) : 0;
-    bool restart = false;
-    for (; gid < snap->num_gates(); ++gid) {
-      Gate* gate = &snap->gates[gid];
-      uint64_t gate_sum = 0;
-      Key gate_high = kKeySentinel;
-      const OptGate r = TryOptimisticGateSum(*snap, *gate, cursor,
-                                             have_cursor, &gate_sum,
-                                             &gate_high);
-      if (r == OptGate::kRestart) {
-        guard.Refresh();
-        restart = true;
-        break;
-      }
-      if (r == OptGate::kFallback) {
+    const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
+    size_t gid = snap->index->Lookup(*from);
+    int attempts = 0;      // failed windows on this gate since progress
+    bool latched = false;  // budget spent: READ latch until the gate ends
+    for (;;) {
+      Gate& gate = snap->gates[gid];
+      uint64_t v = 0;
+      if (!latched && attempts >= optimistic_retries_) {
+        latched = true;
         stat_read_fallbacks_.fetch_add(1, std::memory_order_relaxed);
         TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
-        if (gate->ReaderAccess(nullptr) == GateAccess::kInvalidated) {
-          guard.Refresh();
-          restart = true;
-          break;
+      }
+      if (latched) {
+        const GateAccess a = gate.ReaderAccess(from);
+        if (a == GateAccess::kInvalidated) break;
+        if (a == GateAccess::kTooLow) {
+          CPMA_CHECK(gid > 0);
+          --gid;
+          continue;
         }
-        gate_sum = 0;
-        for (size_t s = gate->seg_begin(); s < gate->seg_end(); ++s) {
-          // Prefetch stays inside the gate: card(s+1) in a foreign gate
-          // would race with its writer outside any validated window.
-          if (s + 1 < gate->seg_end()) {
-            hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
-          }
-          const Item* seg = st.segment(s);
-          const uint32_t card = st.card(s);
-          uint32_t i = 0;
-          if (have_cursor) {
-            i = static_cast<uint32_t>(SegmentLowerBound(seg, card, cursor));
-            if (i < card && seg[i].key == cursor) ++i;  // strictly after
-          }
-          for (; i < card; ++i) gate_sum += seg[i].value;
+        if (a == GateAccess::kTooHigh) {
+          CPMA_CHECK(gid + 1 < snap->num_gates());
+          ++gid;
+          attempts = 0;
+          latched = false;
+          continue;
         }
-        gate_high = gate->high_fence();
-        gate->ReaderRelease();
+      } else {
+        v = gate.version().ReadBegin();
+        if (!SeqVersion::Stable(v)) {
+          ++attempts;
+          continue;
+        }
+        if (gate.invalidated_relaxed()) break;
       }
-      sum += gate_sum;
-      // Advance-only: a stale index descent after a restart can land
-      // left of the cursor's gate, whose high fence is smaller — moving
-      // the cursor backwards would re-admit already-folded keys.
-      if (!have_cursor || gate_high > cursor) cursor = gate_high;
-      have_cursor = true;
+      const Key lo = gate.low_fence();
+      const Key hi = gate.high_fence();
+      if (*from < lo || *from > hi) {  // optimistic only: the latch checked
+        // Only a validated version proves [lo, hi] untorn; then the
+        // neighbour walk is as sound as the latched one.
+        if (!gate.version().Validate(v)) {
+          ++attempts;
+          continue;
+        }
+        if (*from > hi) {  // nothing here (e.g. an empty gate)
+          CPMA_CHECK(gid + 1 < snap->num_gates());
+          ++gid;
+          continue;
+        }
+        // A fence moved right since the previous gate was read: the
+        // keys it shifted sit left of here. The walk burns an attempt,
+        // which bounds fence ping-pong under churn.
+        CPMA_CHECK(gid > 0);
+        --gid;
+        ++attempts;
+        continue;
+      }
+      // Closes the window: validation, or the latch release.
+      auto close = [&] {
+        if (!latched) return gate.version().Validate(v);
+        gate.ReaderRelease();
+        return true;
+      };
+      auto served = [&] {
+        if (!latched) {
+          stat_optimistic_gate_reads_.fetch_add(1, std::memory_order_relaxed);
+        }
+      };
+      enum class Step { kGateEnd, kRangeEnd, kTorn, kRelatch };
+      Step step = Step::kGateEnd;
+      bool held = false;  // the reader holds items not yet handed over
+      Key held_last = 0;  // the greatest of them
+      for (size_t s = LocateSegment(*snap, gate, *from);
+           step == Step::kGateEnd && s < gate.seg_end(); ++s) {
+        // Prefetch stays inside the gate: card(s+1) of a foreign gate
+        // would race with its writer outside any validated window.
+        if (s + 1 < gate.seg_end()) {
+          hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
+        }
+        const Item* seg = st.segment(s);
+        // Clamp a racing cardinality so no read leaves the segment.
+        const uint32_t card = std::min(st.card(s), B);
+        // Only the resume segment needs a search: later segments start
+        // past *from (touching one line instead of a search's several).
+        size_t i = 0;
+        if (card > 0 && TaggedLoad(&seg[0].key) < *from) {
+          i = hotpath::TaggedSegmentLowerBound(seg, card, *from);
+        }
+        size_t end = card;
+        // Only a gate reaching past max needs trimming.
+        if (hi > max && i < card && TaggedLoad(&seg[card - 1].key) > max) {
+          end = hotpath::TaggedSegmentLowerBound(seg, card, max + 1);
+          step = Step::kRangeEnd;
+        }
+        while (i < end) {
+          const size_t n = reader->Take(seg + i, end - i);
+          if (n > 0) {
+            held = true;
+            held_last = TaggedLoad(&seg[i + n - 1].key);
+            i += n;
+          }
+          // A latch hold gathers runs until the reader is full; an
+          // optimistic window hands each run over once it validated.
+          if (latched && i == end) break;
+          if (!close()) {
+            reader->Drop();
+            step = Step::kTorn;
+            break;
+          }
+          held = false;
+          *from = held_last + 1;  // held_last <= max <= kKeyMax
+          if (!reader->Emit()) {
+            served();
+            return false;
+          }
+          if (held_last >= max) {
+            served();
+            return true;
+          }
+          attempts = 0;  // progress: a later torn window is a fresh try
+          if (latched) {  // storage may move once unlatched: re-enter
+            step = Step::kRelatch;
+            break;
+          }
+        }
+      }
+      if (step == Step::kTorn) {
+        ++attempts;
+        continue;
+      }
+      if (step == Step::kRelatch) continue;
+      if (!close()) {
+        ++attempts;
+        continue;
+      }
+      if (held) {  // the latch hold's last gathering
+        *from = held_last + 1;
+        if (!reader->Emit()) return false;
+      }
+      served();
+      if (step == Step::kRangeEnd || hi >= max) return true;
+      // The whole gate at or after *from was read in one validated
+      // window (or one latch hold): resume at the next gate.
+      *from = hi + 1;
+      ++gid;
+      attempts = 0;
+      latched = false;
     }
-    if (!restart) return sum;
-  }
-}
-
-ConcurrentPMA::OptGate ConcurrentPMA::TryOptimisticGateCopy(
-    const Structure& snap, const Gate& gate, Key cursor, Key max,
-    std::vector<Item>* out, Key* gate_high) const {
-  const Storage& st = *snap.storage;
-  const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
-  for (int attempt = 0; attempt < optimistic_retries_; ++attempt) {
-    const uint64_t v = gate.version().ReadBegin();
-    if (!SeqVersion::Stable(v)) continue;
-    if (gate.invalidated_relaxed()) return OptGate::kRestart;
-    const Key hi = gate.high_fence();
-    out->clear();
-    bool ok = true;
-    for (size_t s = gate.seg_begin(); s < gate.seg_end(); ++s) {
-      if (s + 1 < gate.seg_end()) {
-        hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
-      }
-      const Item* seg = st.segment(s);
-      const uint32_t card = std::min(st.card(s), B);
-      // Stage only [cursor, ...]: a narrow range scan must not pay a
-      // whole-chunk copy (the pre-optimistic path emitted from the
-      // per-segment lower bound too).
-      const uint32_t i0 = static_cast<uint32_t>(
-          hotpath::TaggedSegmentLowerBound(seg, card, cursor));
-      if (i0 < card) {
-        const size_t base = out->size();
-        out->resize(base + (card - i0));
-        hotpath::TaggedReadItems(out->data() + base, seg + i0, card - i0);
-      }
-      // Segment-copy granularity: a failed window never stages more
-      // than one segment of torn data before being discarded.
-      if (!gate.version().Validate(v)) {
-        ok = false;
-        break;
-      }
-      // Validated tail already past `max`: later segments only hold
-      // greater keys, stop staging (the emitter trims the overshoot).
-      if (!out->empty() && out->back().key > max) break;
-    }
-    if (!ok) continue;
-    stat_optimistic_gate_reads_.fetch_add(1, std::memory_order_relaxed);
-    *gate_high = hi;
-    return OptGate::kOk;
-  }
-  return OptGate::kFallback;
-}
-
-void ConcurrentPMA::CopyGateLatched(const Structure& snap, const Gate& gate,
-                                    Key cursor, Key max,
-                                    std::vector<Item>* out) const {
-  const Storage& st = *snap.storage;
-  out->clear();
-  for (size_t s = gate.seg_begin(); s < gate.seg_end(); ++s) {
-    if (s + 1 < gate.seg_end()) {
-      hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
-    }
-    const Item* seg = st.segment(s);
-    const uint32_t card = st.card(s);
-    const size_t i0 = SegmentLowerBound(seg, card, cursor);
-    out->insert(out->end(), seg + i0, seg + card);
-    if (!out->empty() && out->back().key > max) break;
+    guard->Refresh();  // the snapshot was retired by a resize
   }
 }
 
 ConcurrentPMA::ScanCursor::ScanCursor(const ConcurrentPMA& pma, Key min,
                                       Key max)
-    : pma_(pma), guard_(pma.gc_), max_(max), cursor_(min), done_(min > max) {}
+    : pma_(pma), guard_(pma.gc_), max_(max), from_(min), done_(min > max) {}
 
 bool ConcurrentPMA::ScanCursor::NextChunk(std::vector<Item>* out) {
   out->clear();
-  if (done_) return false;
-  // The body is the former Scan() loop with emission replaced by a
-  // return: each call stages one gate's chunk (validated seqlock window
-  // or latched fallback) into `chunk_`, trims it to the still-pending
-  // range, and hands the trimmed run to the caller. Callers therefore
-  // consume items outside every latch and validation window, exactly
-  // like Scan callbacks did. On a failed validation the cursor restarts
-  // from a fresh snapshot; `out` is still empty at that point (we
-  // return as soon as it is filled), so no chunk is ever re-delivered.
-  for (;;) {
-    Structure* snap = pma_.structure_.load(std::memory_order_acquire);
-    size_t gid = snap->index->Lookup(cursor_);
-    bool restart = false;
-    for (; gid < snap->num_gates(); ++gid) {
-      Gate* gate = &snap->gates[gid];
-      Key gate_high = kKeySentinel;
-      const OptGate r = pma_.TryOptimisticGateCopy(*snap, *gate, cursor_,
-                                                   max_, &chunk_, &gate_high);
-      if (r == OptGate::kRestart) {
-        guard_.Refresh();
-        restart = true;
-        break;
-      }
-      if (r == OptGate::kFallback) {
-        pma_.stat_read_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
-        if (gate->ReaderAccess(nullptr) == GateAccess::kInvalidated) {
-          guard_.Refresh();
-          restart = true;
-          break;
-        }
-        pma_.CopyGateLatched(*snap, *gate, cursor_, max_, &chunk_);
-        gate_high = gate->high_fence();
-        gate->ReaderRelease();
-      }
-      // Trim the staged (validated or latched) copy to the pending
-      // range: strictly after the cursor once it was delivered, and
-      // nothing past max.
-      size_t i = static_cast<size_t>(
-          std::lower_bound(chunk_.begin(), chunk_.end(), cursor_,
-                           [](const Item& a, Key k) { return a.key < k; }) -
-          chunk_.begin());
-      if (consumed_cursor_ && i < chunk_.size() && chunk_[i].key == cursor_) {
-        ++i;
-      }
-      size_t j = i;
-      while (j < chunk_.size() && chunk_[j].key <= max_) ++j;
-      const bool past_max = j < chunk_.size();  // saw a key > max
-      if (i < j) {
-        out->assign(chunk_.begin() + static_cast<ptrdiff_t>(i),
-                    chunk_.begin() + static_cast<ptrdiff_t>(j));
-        cursor_ = chunk_[j - 1].key;
-        consumed_cursor_ = true;
-      }
-      if (past_max || gate_high >= max_) {
-        done_ = true;  // gates right of here exceed max
-        return !out->empty();
-      }
-      // Resume from the validated fence: the next gate's keys are all
-      // greater, and a restart re-enters past this chunk. Advance-only
-      // (see SumAll): never move the cursor backwards off a stale gate.
-      if (gate_high > cursor_ ||
-          (!consumed_cursor_ && gate_high == cursor_)) {
-        cursor_ = gate_high;
-        consumed_cursor_ = true;
-      }
-      if (!out->empty()) return true;
-    }
-    if (!restart) {
-      done_ = true;
-      return !out->empty();
-    }
+  ChunkReader reader(out);
+  if (done_ || pma_.VisitGates(&guard_, &from_, max_, &reader)) {
+    done_ = true;
+    return false;
   }
+  return true;
 }
 
 void ConcurrentPMA::Scan(Key min, Key max, const ScanCallback& cb) const {
-  // Thin wrapper over the pull cursor (ISSUE 8) so the existing scan
-  // tests cover the chunk decomposition the sharded merge relies on.
-  ScanCursor cursor(*this, min, max);
-  std::vector<Item> chunk;
-  while (cursor.NextChunk(&chunk)) {
-    for (const Item& it : chunk) {
-      if (!cb(it.key, it.value)) return;
-    }
-  }
+  BoundedScanReader reader(cb);
+  EpochGuard guard(gc_);
+  Key from = min;
+  VisitGates(&guard, &from, max, &reader);
+}
+
+uint64_t ConcurrentPMA::SumAll() const {
+  SumReader reader;
+  EpochGuard guard(gc_);
+  Key from = kKeyMin;
+  VisitGates(&guard, &from, kKeyMax, &reader);
+  return reader.sum();
 }
 
 // ------------------------------------------------- storage observability

@@ -25,22 +25,34 @@
 //   4. read the fence keys and — only after re-validating the version,
 //      which proves the [low, high] pair was untorn — walk to the
 //      neighbour gate on mismatch, exactly like the latched descent;
-//   5. run the SIMD segment search / scan copy directly on the live
-//      storage with tagged accesses (common/tagged.h); multi-gate scans
-//      stage one chunk at a time and re-validate at *segment-copy*
-//      granularity so a failed window discards at most one segment;
+//   5. run the SIMD segment search / scan read directly on the live
+//      storage with tagged accesses (common/tagged.h). Scans and SumAll
+//      start at the resume key's segment and work one segment run at a
+//      time: a run is read inside the window, validated, and only then
+//      handed over — Scan emits from a bounded stack copy and stops the
+//      moment its callback does, SumAll folds in place — so a failed
+//      window discards at most one run;
 //   6. validate the version; on success the read linearizes at the
 //      validation point. On failure retry; after
 //      `ConcurrentConfig::optimistic_retries` failed windows per gate
 //      (env override CPMA_OPTIMISTIC_RETRIES; 0 forces fallback) fall
-//      back to the blocking READ latch — the pre-ISSUE-4 path, kept
-//      bit-for-bit so the forced-fallback mode is the old protocol.
-// Scans resume from the last *validated* fence key: a gate that
-// validates contributes its whole chunk and advances the cursor to its
-// high fence, so a restart (resize) or fallback never re-reads chunks
-// that already validated. Epoch pinning keeps a rewired/retired storage
-// alive across the validation window, so torn reads are bounded but
-// never wild. Memory-ordering argument: SeqVersion in common/latches.h.
+//      back to the blocking READ latch, the pre-ISSUE-4 protocol. A
+//      scan's latch hold gathers runs until its reader is full and
+//      hands them over after the release, so callbacks never run
+//      inside a latch.
+// Scans resume from a key, not a gate: everything below the resume key
+// was handed over; it advances past each validated run, and to the high
+// fence + 1 once the rest of a gate validated. A restart (resize) or
+// fallback re-enters at the resume key and never re-reads what
+// validated. A window rebalance may move a fence right between the
+// visits of two gates; the resume key then lies below the next gate's
+// low fence, and the scan walks left to the gate now holding it, as a
+// point read does, instead of skipping the keys the move shifted (the
+// latched fallback passes the resume key to ReaderAccess, whose
+// kTooLow/kTooHigh answer drives the same walk). Epoch pinning keeps a
+// rewired/retired storage alive across the validation window, so torn
+// reads are bounded but never wild. Memory-ordering argument:
+// SeqVersion in common/latches.h.
 //
 // Updates may therefore complete asynchronously; Flush() waits until all
 // queued work (including rebalancer batches) has been applied.
@@ -143,16 +155,15 @@ class ConcurrentPMA : public OrderedMap {
   /// array order; `ops[i].seq` is overwritten.
   void UpdateBatch(GateOp* ops, size_t n);
 
-  /// Pull-based ordered read cursor (ISSUE 8): the per-gate chunk loop
-  /// of Scan() exposed as an explicit cursor, so a consumer can merge
-  /// several PMAs' streams (the sharded front end's k-way scan merge)
-  /// without inverting control through callbacks. Each NextChunk()
-  /// delivers the next validated run of items in (last delivered,
-  /// max] — one gate's chunk, staged under the same optimistic
-  /// seqlock/fallback protocol as Scan and trimmed to the range — or
-  /// returns false when the range is exhausted. The cursor pins its
-  /// epoch for its whole lifetime; hold it only for the duration of a
-  /// scan pass.
+  /// Pull-based ordered read cursor (ISSUE 8): Scan's gate visit
+  /// exposed as an explicit cursor, so a consumer can merge several
+  /// PMAs' streams (the sharded front end's k-way scan merge) without
+  /// inverting control through callbacks. Each NextChunk() delivers the
+  /// next validated run of items in (last delivered, max] — at most one
+  /// segment's run, read under the same optimistic seqlock/fallback
+  /// protocol as Scan and trimmed to the range — or returns false when
+  /// the range is exhausted. The cursor pins its epoch for its whole
+  /// lifetime; hold it only for the duration of a scan pass.
   class ScanCursor {
    public:
     ScanCursor(const ConcurrentPMA& pma, Key min, Key max);
@@ -168,10 +179,8 @@ class ConcurrentPMA : public OrderedMap {
     const ConcurrentPMA& pma_;
     EpochGuard guard_;
     const Key max_;
-    Key cursor_;
-    bool consumed_cursor_ = false;
-    bool done_ = false;
-    std::vector<Item> chunk_;  // per-gate staging, reused across calls
+    Key from_;  // resume key: everything below it was delivered
+    bool done_;
   };
   size_t Size() const override {
     return count_.load(std::memory_order_relaxed);
@@ -207,8 +216,9 @@ class ConcurrentPMA : public OrderedMap {
     return stat_read_fallbacks_.load(std::memory_order_relaxed);
   }
 
-  /// Gate chunks served latch-free by validated optimistic scan windows
-  /// (Scan/SumAll; Find avoids a shared counter on its hot path).
+  /// Gate visits served latch-free by validated optimistic windows:
+  /// once per gate a Scan or SumAll reads, once per NextChunk of a
+  /// ScanCursor (Find avoids a shared counter on its hot path).
   uint64_t num_optimistic_gate_reads() const {
     return stat_optimistic_gate_reads_.load(std::memory_order_relaxed);
   }
@@ -375,42 +385,27 @@ class ConcurrentPMA : public OrderedMap {
   bool TryMergedGateSpread(Structure* snap, Gate* gate,
                            const std::vector<BatchEntry>& ops);
 
-  // In-gate navigation (caller holds the gate latch).
-  // Rightmost non-empty segment of the chunk whose routing key is <= key,
-  // or the leftmost non-empty segment, or seg_begin() for an empty chunk.
+  // In-gate navigation: the rightmost non-empty segment of the chunk
+  // whose routing key is <= key, or the leftmost non-empty segment, or
+  // seg_begin() for an empty chunk. Route loads are tagged, so readers
+  // holding no latch may call it too: on torn data the result stays
+  // within the chunk and their version validation rejects the window.
   size_t LocateSegment(const Structure& snap, const Gate& gate, Key key) const;
 
   // ------------------------------------------- optimistic read path
-
-  /// LocateSegment for a reader holding no latch: tagged route loads
-  /// (TSan-visible), result always within the chunk even on torn data —
-  /// the caller's version validation rejects the window if it raced.
-  size_t LocateSegmentOptimistic(const Structure& snap, const Gate& gate,
-                                 Key key) const;
 
   /// One budget-bounded optimistic point lookup against `snap`.
   enum class OptRead { kHit, kMiss, kFallback, kRestart };
   OptRead TryOptimisticFind(const Structure& snap, Key key,
                             Value* value) const;
 
-  /// One budget-bounded optimistic visit of a gate's chunk, staging
-  /// only items in [cursor, ...] and stopping past `max`. kOk hands
-  /// the caller validated data plus the gate's high fence (the scan
-  /// resume point); kFallback means the budget is spent (take the READ
-  /// latch); kRestart means the snapshot was retired.
-  enum class OptGate { kOk, kFallback, kRestart };
-  OptGate TryOptimisticGateCopy(const Structure& snap, const Gate& gate,
-                                Key cursor, Key max, std::vector<Item>* out,
-                                Key* gate_high) const;
-  OptGate TryOptimisticGateSum(const Structure& snap, const Gate& gate,
-                               Key cursor, bool have_cursor,
-                               uint64_t* sum_out, Key* gate_high) const;
-
-  /// Blocking-path helper: stage a latched gate's chunk (range-bounded
-  /// like TryOptimisticGateCopy) for emission outside the latch, so
-  /// user callbacks run latch-free in both modes.
-  void CopyGateLatched(const Structure& snap, const Gate& gate, Key cursor,
-                       Key max, std::vector<Item>* out) const;
+  /// The one gate visit behind Scan, ScanCursor and SumAll: hands the
+  /// items in [*from, max] to `reader` one validated segment run at a
+  /// time and advances *from past them (defined and instantiated in
+  /// concurrent_pma.cc; contract there).
+  template <typename Reader>
+  bool VisitGates(EpochGuard* guard, Key* from, Key max,
+                  Reader* reader) const;
 
   /// True if the effective spread policy is adaptive (paper: one-by-one
   /// leverages adaptive rebalancing, batch uses traditional).
