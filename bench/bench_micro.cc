@@ -172,14 +172,21 @@ void BM_GateAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_GateAcquireRelease);
 
+// Epoch pin cost for a thread that holds a cached slot for each of
+// range(0) live GCs (a ShardedPMA client holds one per shard). Every
+// guard targets the GC registered last: the worst case for a lookup
+// that walks the thread's cached entries in order.
 void BM_EpochEnterExit(benchmark::State& state) {
-  static EpochGC gc;
+  static EpochGC gcs[8];
+  const size_t n = static_cast<size_t>(state.range(0));
+  for (size_t i = 0; i < n; ++i) EpochGuard warm(gcs[i]);
+  EpochGC& gc = gcs[n - 1];
   for (auto _ : state) {
     EpochGuard guard(gc);
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_EpochEnterExit);
+BENCHMARK(BM_EpochEnterExit)->Arg(1)->Arg(8)->Threads(1)->Threads(4);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfDistribution zipf(1ull << 27, 1.5);

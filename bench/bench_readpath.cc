@@ -12,10 +12,6 @@
 //
 //   build/bench/bench_readpath --ops=2000000 --threads=4 --json=out.json
 //   build/bench/bench_readpath --what=find,mixed --alpha=1.0
-//
-// The source also compiles against pre-ISSUE-4 trees (the interleaved
-// pre/post methodology grafts it onto the previous commit), so the
-// optimistic-path observability fields are feature-gated.
 
 #include <atomic>
 #include <cstdio>
@@ -24,36 +20,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "concurrent/concurrent_pma.h"
 #include "driver.h"
-
-// Feature macro lives in concurrent_pma.h; on pre-ISSUE-7 trees (the
-// relative bench gate grafts this driver onto the previous commit)
-// neither the macro nor the failpoint header exists.
-#if defined(CPMA_FAULT_TOLERANCE)
-#include "common/failpoint.h"
 #include "persist/checkpoint.h"
-#endif
-
-#if !defined(CPMA_BENCH_LATENCY)
-// Grafted onto a pre-ISSUE-8 tree whose driver.h has no latency
-// histograms / placement fields: stub the API so the sampled loops
-// below compile into the plain ones (Record/Add* become no-ops).
-namespace cpma::bench {
-struct LatencyHistogram {
-  void Record(uint64_t) {}
-  void Merge(const LatencyHistogram&) {}
-  uint64_t count() const { return 0; }
-};
-constexpr size_t kLatencySampleEvery = 32;
-inline uint64_t NowNanos() { return 0; }
-inline JsonRecord& AddLatencyFields(JsonRecord& rec, const std::string&,
-                                    const LatencyHistogram&) {
-  return rec;
-}
-inline JsonRecord& AddPlacementFields(JsonRecord& rec) { return rec; }
-}  // namespace cpma::bench
-#endif
 
 namespace cpma {
 namespace {
@@ -161,7 +131,6 @@ void Report(BenchJson* json, const ConcurrentPMA& pma, const Knobs& k,
   // Observability: which publish mechanism / page size / read path this
   // run actually measured (all VOLATILE for bench_diff matching).
   rec.Bool("rewired", pma.config().pma.use_rewiring);
-#if defined(CPMA_OPTIMISTIC_READ_PATH)
   rec.Bool("rewiring_active", pma.storage_rewiring_enabled())
       .Int("page_bytes", pma.storage_page_bytes())
       .Int("backing_page_bytes", pma.storage_backing_page_bytes())
@@ -171,7 +140,6 @@ void Report(BenchJson* json, const ConcurrentPMA& pma, const Knobs& k,
       .Int("optimistic_gate_reads", pma.num_optimistic_gate_reads())
       .Int("optimistic_retries",
            static_cast<uint64_t>(pma.optimistic_retries()));
-#endif
 #if defined(CPMA_STRICT_ASYNC_ORDER)
   // Identity knob only when off the default, so default-strict records
   // keep matching pre-ISSUE-5 baselines (bench_diff identity is
@@ -179,7 +147,6 @@ void Report(BenchJson* json, const ConcurrentPMA& pma, const Knobs& k,
   if (!k.strict) rec.Bool("strict_async_order", false);
   rec.Int("reroutes", pma.num_reroutes());
 #endif
-#if defined(CPMA_EBR_STATS)
   // Epoch-reclamation observability (ISSUE 6, all VOLATILE): garbage
   // still pending, the retired-bytes high-water mark, and how often the
   // epoch advanced / the collector ran during the measured reps.
@@ -191,8 +158,6 @@ void Report(BenchJson* json, const ConcurrentPMA& pma, const Knobs& k,
         .Int("ebr_epoch_advances", ebr.epoch_advances)
         .Int("ebr_collections", ebr.collections);
   }
-#endif
-#if defined(CPMA_FAULT_TOLERANCE)
   // Fault-tolerance observability (ISSUE 7, all VOLATILE): whether the
   // run measured the copy-publish fallback backend, and the degradation
   // counters — a healthy fault-free bench run must report zeros here,
@@ -202,8 +167,6 @@ void Report(BenchJson* json, const ConcurrentPMA& pma, const Knobs& k,
       .Int("failpoint_fires", failpoint::TotalFires())
       .Int("rebalance_retries", pma.num_rebalance_retries())
       .Int("watchdog_trips", pma.num_watchdog_trips());
-#endif
-#if defined(CPMA_SNAPSHOTS)
   // Durability-tier observability (ISSUE 9, all VOLATILE): open COW
   // snapshots and the file-page bytes they retain (a fault-free bench
   // run takes no snapshots, so nonzero retention flags a run whose
@@ -220,7 +183,6 @@ void Report(BenchJson* json, const ConcurrentPMA& pma, const Knobs& k,
         .Int("restore_verify_failures",
              pc.restore_verify_failures.load(std::memory_order_relaxed));
   }
-#endif
 }
 
 /// Per-thread key streams, generated OUTSIDE the timed region: Zipf

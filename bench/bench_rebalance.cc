@@ -17,15 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "concurrent/concurrent_pma.h"
 #include "driver.h"
-
-// Feature macro lives in concurrent_pma.h; on pre-ISSUE-7 trees (the
-// relative bench gate grafts this driver onto the previous commit)
-// neither the macro nor the failpoint header exists.
-#if defined(CPMA_FAULT_TOLERANCE)
-#include "common/failpoint.h"
-#endif
 #include "pma/sequential_pma.h"
 #include "pma/spread.h"
 #include "pma/storage.h"
@@ -39,16 +33,12 @@ using bench::Flags;
 struct Best {
   double mops = 0;      // millions of elements (or ops) per second
   double seconds = 0;   // duration of the best repetition
-#if defined(CPMA_EBR_STATS)
   EpochGCStats ebr;     // reclamation counters of the best rep's PMA
-#endif
-#if defined(CPMA_FAULT_TOLERANCE)
   // Degradation counters of the best rep's PMA (the PMA is per-rep, so
   // they are captured alongside the throughput they would explain).
   bool fallback_backend_active = false;
   uint64_t rebalance_retries = 0;
   uint64_t watchdog_trips = 0;
-#endif
 };
 
 template <typename Fn>
@@ -208,14 +198,10 @@ void BenchAsyncBatchInsert(BenchJson* json, uint64_t ops, uint64_t threads,
     if (res.update_mops > best.mops) {
       best.mops = res.update_mops;
       best.seconds = res.seconds;
-#if defined(CPMA_EBR_STATS)
       best.ebr = pma.ebr_stats();
-#endif
-#if defined(CPMA_FAULT_TOLERANCE)
       best.fallback_backend_active = pma.fallback_backend_active();
       best.rebalance_retries = pma.num_rebalance_retries();
       best.watchdog_trips = pma.num_watchdog_trips();
-#endif
     }
   }
   bench::JsonRecord& rec =
@@ -224,7 +210,6 @@ void BenchAsyncBatchInsert(BenchJson* json, uint64_t ops, uint64_t threads,
   // matching pre-ISSUE-5 baselines (bench_diff identity is field-exact),
   // while --strict=0 A/B records get their own identity.
   if (!strict) rec.Bool("strict_async_order", false);
-#if defined(CPMA_EBR_STATS)
   // Epoch-reclamation observability for the best rep (ISSUE 6, all
   // VOLATILE): resize-path snapshot retirement is the big-ticket
   // byte-accounted garbage this workload produces.
@@ -233,8 +218,6 @@ void BenchAsyncBatchInsert(BenchJson* json, uint64_t ops, uint64_t threads,
       .Int("ebr_retired_bytes_hwm", best.ebr.retired_bytes_hwm)
       .Int("ebr_epoch_advances", best.ebr.epoch_advances)
       .Int("ebr_collections", best.ebr.collections);
-#endif
-#if defined(CPMA_FAULT_TOLERANCE)
   // Fault-tolerance observability (ISSUE 7, all VOLATILE): a fault-free
   // bench run reports zeros; a nonzero flags a degraded run so a perf
   // delta can be attributed before anyone chases a phantom regression.
@@ -242,7 +225,6 @@ void BenchAsyncBatchInsert(BenchJson* json, uint64_t ops, uint64_t threads,
       .Int("failpoint_fires", failpoint::TotalFires())
       .Int("rebalance_retries", best.rebalance_retries)
       .Int("watchdog_trips", best.watchdog_trips);
-#endif
 }
 
 void BenchScanGuard(BenchJson* json, uint64_t reps) {

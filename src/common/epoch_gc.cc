@@ -144,6 +144,39 @@ EpochSlot* EpochGC::TryClaimSlot() {
   return claimed;
 }
 
+EpochGC::SlotCache::~SlotCache() {
+  for (const SlotCacheEntry& e : entries) {
+    if (EpochGC::IsAlive(e.gc, e.instance_id)) e.gc->UnregisterThread(e.slot);
+  }
+  // The released slots may be claimed by other threads now.
+  std::fill(ThreadSlotHints(), ThreadSlotHints() + kSlotHints, SlotHint{});
+}
+
+EpochSlot* EpochGC::LocalSlotMiss(SlotHint* hint) {
+  std::vector<SlotCacheEntry>& entries = ThreadSlotCache().entries;
+  EpochSlot* slot = nullptr;
+  for (const SlotCacheEntry& e : entries) {
+    if (e.instance_id == instance_id_) {
+      slot = e.slot;
+      break;
+    }
+  }
+  if (slot == nullptr) {
+    // Purge entries whose GC died (their slot storage is gone) before
+    // adding one, so the list holds one entry per live GC plus those
+    // destroyed since this thread last registered.
+    entries.erase(std::remove_if(entries.begin(), entries.end(),
+                                 [](const SlotCacheEntry& e) {
+                                   return !IsAlive(e.gc, e.instance_id);
+                                 }),
+                  entries.end());
+    slot = RegisterThread();
+    entries.push_back({this, instance_id_, slot});
+  }
+  *hint = SlotHint{instance_id_, slot};
+  return slot;
+}
+
 EpochSlot* EpochGC::RegisterThread() {
   if (EpochSlot* s = TryClaimSlot()) return s;
   for (;;) {

@@ -178,40 +178,23 @@ class EpochGC {
 
   /// The calling thread's cached slot for this GC (registering on first
   /// use). Shared by EpochGuard and Retire so a thread occupies one slot.
+  /// Lookups match on the instance id alone: `this` is alive and ids are
+  /// never reused, so a match cannot be a dead GC's entry. The common
+  /// case is one compare in a direct-mapped per-thread hint table (a
+  /// thread cycling over up to kSlotHints GCs, such as a ShardedPMA
+  /// client over its shards, stays there); a miss walks the thread's
+  /// slot cache, and only registration takes the global alive lock, to
+  /// purge the entries of destroyed GCs.
   EpochSlot* LocalSlot() {
-    struct Entry {
-      EpochGC* gc;
-      uint64_t instance_id;
-      EpochSlot* slot;
-    };
-    // One cached slot per (thread, GC instance). A thread uses at most a
-    // handful of GC instances (one per data structure), so a tiny linear
-    // cache suffices and avoids unordered_map in the hot path.
-    struct Cache {
-      std::vector<Entry> entries;
-      ~Cache() {
-        for (auto& e : entries) {
-          if (EpochGC::IsAlive(e.gc, e.instance_id)) {
-            e.gc->UnregisterThread(e.slot);
-          }
-        }
-      }
-    };
-    thread_local Cache cache;
-    for (auto it = cache.entries.begin(); it != cache.entries.end();) {
-      if (it->gc == this && it->instance_id == instance_id_) {
-        return it->slot;
-      }
-      // Purge entries whose GC died (their slot storage is gone).
-      if (!EpochGC::IsAlive(it->gc, it->instance_id)) {
-        it = cache.entries.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    EpochSlot* slot = RegisterThread();
-    cache.entries.push_back({this, instance_id_, slot});
-    return slot;
+    SlotHint& hint = ThreadSlotHints()[instance_id_ % kSlotHints];
+    if (hint.instance_id == instance_id_) return hint.slot;
+    return LocalSlotMiss(&hint);
+  }
+
+  /// Entries in the calling thread's slot cache (one per live GC the
+  /// thread has used, plus destroyed GCs' entries not yet purged).
+  static size_t ThreadSlotCacheSize() {
+    return ThreadSlotCache().entries.size();
   }
 
   /// Observe the current epoch and publish it in the slot: one load plus
@@ -304,6 +287,38 @@ class EpochGC {
   struct SlotChunk {
     EpochSlot slots[kSlotsPerChunk];
   };
+
+  // One cached slot per (thread, GC instance), owned by a per-thread
+  // list that releases the slots at thread exit. A thread uses a handful
+  // of GC instances (one per data structure or shard), so a tiny linear
+  // list suffices; a direct-mapped hint table keyed by instance id sits
+  // in front of it. Both are thread_local: the hints need no guard
+  // (zero-initialized, trivially destructible), the list does.
+  struct SlotCacheEntry {
+    EpochGC* gc;
+    uint64_t instance_id;
+    EpochSlot* slot;
+  };
+  struct SlotCache {
+    std::vector<SlotCacheEntry> entries;
+    ~SlotCache();  // releases the slots of GCs still alive
+  };
+  static SlotCache& ThreadSlotCache() {
+    thread_local SlotCache cache;
+    return cache;
+  }
+  struct SlotHint {
+    uint64_t instance_id;  // 0 = empty (ids start at 1)
+    EpochSlot* slot;
+  };
+  static constexpr size_t kSlotHints = 16;
+  static SlotHint* ThreadSlotHints() {
+    thread_local SlotHint hints[kSlotHints];
+    return hints;
+  }
+  /// LocalSlot miss: find the slot in the thread's list or register one
+  /// (purging destroyed GCs' entries first), and refill `*hint`.
+  EpochSlot* LocalSlotMiss(SlotHint* hint);
 
   static std::mutex& AliveMutex();
   static std::vector<EpochGC*>& AliveSet();

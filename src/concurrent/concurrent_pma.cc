@@ -211,22 +211,20 @@ void ConcurrentPMA::UpdateBatch(GateOp* ops, size_t n) {
 void ConcurrentPMA::DispatchStamped(GateOp op) {
   const bool allow_queue =
       cfg_.async_mode != ConcurrentConfig::AsyncMode::kSync;
-  // Worklist entries beyond the first are reroutes: ops that lost their
-  // gate to a fence move or resize and must re-dispatch through the
-  // index. Under strict_async_order this never happens (such ops are
-  // handed to the master inside the combining queue instead); in the
-  // relaxed mode the window between the fence move and the re-dispatch
-  // below is exactly where a younger same-key op can overtake.
-  bool rerouted = false;
-  std::deque<GateOp> worklist{op};
-  while (!worklist.empty()) {
-    GateOp cur = worklist.front();
-    worklist.pop_front();
-    if (rerouted) {
+  // Reroutes: ops that lost their gate to a fence move or resize and
+  // must re-dispatch through the index, in the order they were found.
+  // Under strict_async_order this never happens (such ops are handed to
+  // the master inside the combining queue instead); in the relaxed mode
+  // the window between the fence move and the re-dispatch below is
+  // exactly where a younger same-key op can overtake. The list owns no
+  // heap memory until the first reroute, so a dispatch allocates nothing.
+  std::vector<GateOp> reroutes;
+  size_t next_reroute = 0;
+  for (GateOp cur = op;; cur = reroutes[next_reroute++]) {
+    if (next_reroute > 0) {
       stat_reroutes_.fetch_add(1, std::memory_order_relaxed);
       if (reroute_hook_) reroute_hook_(cur);
     }
-    rerouted = true;
     EpochGuard guard(gc_);
     for (;;) {
       Structure* snap = structure_.load(std::memory_order_acquire);
@@ -256,14 +254,15 @@ void ConcurrentPMA::DispatchStamped(GateOp op) {
         break;
       }
       CPMA_CHECK(a == GateAccess::kOwner);
-      OwnerApplyAndDrain(snap, gate, cur, &worklist);
+      OwnerApplyAndDrain(snap, gate, cur, &reroutes);
       break;
     }
+    if (next_reroute == reroutes.size()) return;
   }
 }
 
 void ConcurrentPMA::OwnerApplyAndDrain(Structure* snap, Gate* gate, GateOp op,
-                                       std::deque<GateOp>* reroute) {
+                                       std::vector<GateOp>* reroute) {
   using AsyncMode = ConcurrentConfig::AsyncMode;
   const bool batch_mode = cfg_.async_mode == AsyncMode::kBatch;
   std::optional<GateOp> pending = op;
@@ -373,27 +372,26 @@ void ConcurrentPMA::OwnerApplyAndDrain(Structure* snap, Gate* gate, GateOp op,
       }
       return;  // queue empty: gate released
     }
-    // Batch mode: take the whole queue at once.
-    std::deque<GateOp> q = gate->WriterTakeQueue();
-    if (q.empty()) {
-      if (gate->WriterRelease()) return;
-      continue;  // new ops slipped in
-    }
-    pending_async_.fetch_sub(static_cast<int64_t>(q.size()),
+    // Batch mode: take the whole queue at once, or — the common case —
+    // find it empty and release in the same mutex round trip.
+    std::vector<GateOp> local;
+    if (!gate->WriterTakeQueueOrRelease(&local)) return;
+    pending_async_.fetch_sub(static_cast<int64_t>(local.size()),
                              std::memory_order_relaxed);
-    std::deque<GateOp> local;
-    for (const GateOp& qop : q) {
+    size_t kept = 0;
+    for (const GateOp& qop : local) {
       if (qop.key < gate->low_fence() || qop.key > gate->high_fence()) {
         reroute->push_back(qop);
       } else {
-        local.push_back(qop);
+        local[kept++] = qop;
       }
     }
+    local.resize(kept);
     if (ApplyBatchLocal(snap, gate, &local)) continue;
     // Remainder does not fit inside the gate: back onto the queue —
     // *ahead* of anything that arrived while we processed the batch —
     // and over to the rebalancer.
-    gate->OwnerPushFront(std::vector<GateOp>(local.begin(), local.end()));
+    gate->OwnerPushFront(local);
     pending_async_.fetch_add(static_cast<int64_t>(local.size()),
                              std::memory_order_relaxed);
     const int64_t due = std::max(
@@ -486,7 +484,7 @@ bool ConcurrentPMA::ApplyOpLocal(Structure* snap, Gate* gate, const GateOp& op,
 }
 
 bool ConcurrentPMA::ApplyBatchLocal(Structure* snap, Gate* gate,
-                                    std::deque<GateOp>* pending) {
+                                    std::vector<GateOp>* pending) {
   size_t trigger = 0;
   // Canonicalize first (per key the last op wins) so that the
   // deletions-before-insertions passes below cannot reorder ops on the

@@ -14,7 +14,15 @@
 //   4. if the gate is invalidated (resize happened), refresh the epoch
 //      and restart from the new snapshot;
 //   5. writers finding an active writer on the gate append their update
-//      to its combining queue and return (async modes).
+//      to its combining queue and return (async modes). The owner applies
+//      its op, then drains the queue; finding it empty, it releases the
+//      gate in the same mutex round trip. Without contention the owner
+//      path neither allocates nor frees: the queue owns no memory while
+//      empty (gate.h (c)), and the reroute list of DispatchStamped is
+//      created only by a reroute (tests/test_alloc_free.cc checks every
+//      mode). Layout rule: a field every op reads (`structure_`) never
+//      shares a cache line with a word that ops read-modify-write per op
+//      (`count_`, `seq_gen_`, `pending_async_`, the stat counters).
 //
 // Reader protocol (ISSUE 4 — optimistic, normally latch-free): readers
 // run the same descent but, instead of taking the READ latch, snapshot
@@ -97,15 +105,10 @@
 #include "pma/config.h"
 #include "pma/storage.h"
 
-// Feature macros: let externally grafted sources (the pre/post bench
-// drivers in BENCH_*.json methodology) compile against trees with and
-// without the optimistic read path (ISSUE 4) / the strict async
-// ordering contract (ISSUE 5).
-#define CPMA_OPTIMISTIC_READ_PATH 1
+// Feature macro: lets bench drivers compile against trees with and
+// without the strict async ordering contract (ISSUE 5); it goes away
+// together with the relaxed contract.
 #define CPMA_STRICT_ASYNC_ORDER 1
-#define CPMA_EBR_STATS 1
-#define CPMA_FAULT_TOLERANCE 1
-#define CPMA_SNAPSHOTS 1
 
 namespace cpma {
 
@@ -364,7 +367,7 @@ class ConcurrentPMA : public OrderedMap {
   // the configured async mode. Ops that no longer fit the gate's fences
   // are pushed onto `reroute` for the caller to re-dispatch.
   void OwnerApplyAndDrain(Structure* snap, Gate* gate, GateOp op,
-                          std::deque<GateOp>* reroute);
+                          std::vector<GateOp>* reroute);
 
   /// Apply one op inside the gate, running local (in-gate) rebalances as
   /// needed. Returns false when a global rebalance is required; then
@@ -376,7 +379,7 @@ class ConcurrentPMA : public OrderedMap {
   /// entirely inside the gate. Returns false when the merged result does
   /// not fit (global batch needed).
   bool ApplyBatchLocal(Structure* snap, Gate* gate,
-                       std::deque<GateOp>* pending);
+                       std::vector<GateOp>* pending);
 
   /// Fold a canonical batch into the gate's window with one merged
   /// spread, if the merged total fits the gate-level density threshold.
@@ -441,27 +444,34 @@ class ConcurrentPMA : public OrderedMap {
   bool strict_async_order_ = true;
   // Effective watchdog threshold (cfg_ value or CPMA_WATCHDOG_MS).
   int64_t watchdog_ms_ = 0;
-  // Global enqueue stamp generator; see GateOp::seq.
-  std::atomic<uint64_t> seq_gen_{1};
   std::function<void(const GateOp&)> reroute_hook_;
   mutable EpochGC gc_;
-  std::atomic<Structure*> structure_;
-  std::atomic<size_t> count_{0};
-  std::atomic<int64_t> pending_async_{0};
   std::unique_ptr<Rebalancer> rebalancer_;
 
-  std::atomic<uint64_t> stat_local_rebalances_{0};
-  std::atomic<uint64_t> stat_global_rebalances_{0};
+  // Hot-atomic layout: a field every op reads never shares a cache line
+  // with a word that ops read-modify-write, or each RMW would evict it
+  // from every other core. `structure_` (loaded by every Find, Scan and
+  // update) has a line to itself; each word RMW'd per op or per queued
+  // op by many threads has its own line; the counters the master or rare
+  // paths bump share one line.
+  alignas(64) std::atomic<Structure*> structure_;
+  // Global enqueue stamp generator; see GateOp::seq. One RMW per update.
+  alignas(64) std::atomic<uint64_t> seq_gen_{1};
+  alignas(64) std::atomic<size_t> count_{0};  // RMW per insert/remove
+  alignas(64) std::atomic<int64_t> pending_async_{0};  // per queued op
+  alignas(64) std::atomic<uint64_t> stat_queued_ops_{0};
+  alignas(64) std::atomic<uint64_t> stat_local_rebalances_{0};
+  alignas(64) mutable std::atomic<uint64_t> stat_read_fallbacks_{0};
+  alignas(64) mutable std::atomic<uint64_t> stat_optimistic_gate_reads_{0};
+  alignas(64) std::atomic<uint64_t> stat_global_rebalances_{0};
   std::atomic<uint64_t> stat_resizes_{0};
-  std::atomic<uint64_t> stat_queued_ops_{0};
   std::atomic<uint64_t> stat_batches_{0};
   std::atomic<uint64_t> stat_reroutes_{0};
-  mutable std::atomic<uint64_t> stat_read_fallbacks_{0};
-  mutable std::atomic<uint64_t> stat_optimistic_gate_reads_{0};
   std::atomic<uint64_t> stat_rebalance_retries_{0};
 
-  // Background-error surface (ISSUE 7).
-  std::function<void(const Status&)> error_cb_;
+  // Background-error surface (ISSUE 7). Aligned so the snapshot stamp
+  // below, which every mutation reads, stays off the counters' line.
+  alignas(64) std::function<void(const Status&)> error_cb_;
   mutable std::mutex error_mu_;
   Status last_error_;
 

@@ -111,37 +111,40 @@ void Gate::ReaderRelease() {
   }
 }
 
+void Gate::ReleaseWriteLocked() {
+  writer_active_.store(false, std::memory_order_relaxed);
+  version_.EndMutate();
+  SetState(State::kFree);
+  cv_.notify_all();
+}
+
 bool Gate::WriterPopOrRelease(GateOp* op) {
   std::lock_guard<std::mutex> lk(m_);
   CPMA_CHECK(state_ == State::kWrite);
   if (queue_.empty()) {
-    writer_active_.store(false, std::memory_order_relaxed);
-    version_.EndMutate();
-    SetState(State::kFree);
-    cv_.notify_all();
+    ReleaseWriteLocked();
     return false;
   }
-  *op = queue_.front();
-  queue_.pop_front();
+  *op = queue_.pop_front();
   return true;
 }
 
-std::deque<GateOp> Gate::WriterTakeQueue() {
+bool Gate::WriterTakeQueueOrRelease(std::vector<GateOp>* ops) {
   std::lock_guard<std::mutex> lk(m_);
   CPMA_CHECK(state_ == State::kWrite);
-  std::deque<GateOp> out;
-  out.swap(queue_);
-  return out;
+  if (queue_.empty()) {
+    ReleaseWriteLocked();
+    return false;
+  }
+  *ops = queue_.Take();
+  return true;
 }
 
 bool Gate::WriterRelease() {
   std::lock_guard<std::mutex> lk(m_);
   CPMA_CHECK(state_ == State::kWrite);
   if (!queue_.empty()) return false;
-  writer_active_.store(false, std::memory_order_relaxed);
-  version_.EndMutate();
-  SetState(State::kFree);
-  cv_.notify_all();
+  ReleaseWriteLocked();
   return true;
 }
 
@@ -154,7 +157,7 @@ void Gate::OwnerPushBack(const GateOp& op) {
 void Gate::OwnerPushFront(const std::vector<GateOp>& ops) {
   std::lock_guard<std::mutex> lk(m_);
   CPMA_CHECK(state_ == State::kWrite);
-  queue_.insert(queue_.begin(), ops.begin(), ops.end());
+  queue_.push_front(ops);
 }
 
 void Gate::TransferToRebalancer() {
@@ -216,12 +219,10 @@ void Gate::MasterRelease() {
   cv_.notify_all();
 }
 
-std::deque<GateOp> Gate::MasterTakeQueue() {
+std::vector<GateOp> Gate::MasterTakeQueue() {
   std::lock_guard<std::mutex> lk(m_);
   CPMA_CHECK(state_ == State::kRebal && master_owned_);
-  std::deque<GateOp> out;
-  out.swap(queue_);
-  return out;
+  return queue_.Take();
 }
 
 void Gate::MasterClearWriterActive() {
@@ -233,7 +234,7 @@ void Gate::MasterClearWriterActive() {
 void Gate::MasterRequeue(const std::vector<GateOp>& ops) {
   std::lock_guard<std::mutex> lk(m_);
   CPMA_CHECK(state_ == State::kRebal && master_owned_);
-  queue_.insert(queue_.begin(), ops.begin(), ops.end());
+  queue_.push_front(ops);
   // The gate reverts to the detached-combiner shape batch mode uses
   // (writer_active set, queue accumulating, no latch holder after the
   // master releases): arriving writers enqueue behind the requeued ops —

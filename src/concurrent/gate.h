@@ -19,7 +19,14 @@
 //       the drained ops into the merged spread while all affected gates
 //       are held. A queued op therefore never outlives the fence range it
 //       was admitted under, which is what makes the per-key FIFO contract
-//       of `ConcurrentConfig::strict_async_order` enforceable;
+//       of `ConcurrentConfig::strict_async_order` enforceable. The queue
+//       (GateOpQueue) owns no heap memory while empty, and taking it moves
+//       its buffer out whole: an owner that finds it empty releases in the
+//       same mutex round trip, so the uncontended owner path neither
+//       allocates nor frees. The queue's counters (`pending_async_`,
+//       `stat_queued_ops_`) follow the layout rule of writer step 5 in
+//       concurrent_pma.h: words RMW'd per op never share a cache line
+//       with fields every op reads;
 //   (d) the per-segment minimum keys that aid lookups inside a chunk —
 //       these live in Storage::route() and need no duplication here;
 //   (e) the `invalidated` flag set when a resize replaced the whole
@@ -44,9 +51,9 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -71,6 +78,58 @@ struct GateOp {
   /// so "per-key winner = max seq" (CanonicalizeBatch) implements the
   /// per-key FIFO guarantee of strict_async_order.
   uint64_t seq = 0;
+};
+
+/// A gate's combining queue: a FIFO of GateOps kept in a std::vector
+/// with a consumed-prefix index. It owns no heap memory while empty,
+/// Take() hands the whole buffer over, and pops keep the buffer for the
+/// next push, so an empty queue never allocates or frees. Not
+/// synchronized: the gate's mutex guards it.
+class GateOpQueue {
+ public:
+  bool empty() const { return head_ == ops_.size(); }
+  size_t size() const { return ops_.size() - head_; }
+
+  void push_back(const GateOp& op) { ops_.push_back(op); }
+
+  /// Insert `ops` ahead of every queued op, in their order.
+  void push_front(const std::vector<GateOp>& ops) {
+    Compact();
+    ops_.insert(ops_.begin(), ops.begin(), ops.end());
+  }
+
+  /// Remove and return the oldest op. Requires !empty().
+  GateOp pop_front() {
+    const GateOp op = ops_[head_++];
+    if (empty()) {
+      ops_.clear();
+      head_ = 0;
+    } else if (head_ >= kCompactAt && 2 * head_ >= ops_.size()) {
+      Compact();  // bound the consumed prefix under a never-empty stream
+    }
+    return op;
+  }
+
+  /// Move every queued op out, oldest first; the queue is left empty
+  /// and holding no buffer.
+  std::vector<GateOp> Take() {
+    Compact();
+    std::vector<GateOp> out;
+    out.swap(ops_);
+    return out;
+  }
+
+ private:
+  static constexpr size_t kCompactAt = 64;
+
+  void Compact() {
+    ops_.erase(ops_.begin(),
+               ops_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+
+  std::vector<GateOp> ops_;
+  size_t head_ = 0;  // ops_[0, head_) were popped
 };
 
 /// Outcome of an access attempt; see Gate::WriterAccess / ReaderAccess.
@@ -117,9 +176,11 @@ class Gate {
   /// released and `writer_active` cleared.
   bool WriterPopOrRelease(GateOp* op);
 
-  /// Active writer: take the whole queue (batch processing) without
-  /// releasing. Returns an empty deque when nothing is pending.
-  std::deque<GateOp> WriterTakeQueue();
+  /// Active writer, batch processing: move the whole queue into `*ops`
+  /// (oldest first) and keep the latch, or — when nothing is pending —
+  /// release the gate and clear `writer_active` in the same mutex round
+  /// trip and return false. Allocates nothing on the empty path.
+  bool WriterTakeQueueOrRelease(std::vector<GateOp>* ops);
 
   /// Active writer: release the latch; clears writer_active only when
   /// the queue is empty (returns true). If false, the caller must keep
@@ -161,8 +222,9 @@ class Gate {
   /// Master: release after a rebalance; wakes all waiters.
   void MasterRelease();
 
-  /// Master (holding the gate): take the combining queue for merging.
-  std::deque<GateOp> MasterTakeQueue();
+  /// Master (holding the gate): take the combining queue for merging
+  /// (oldest first); an empty queue yields an empty, unallocated vector.
+  std::vector<GateOp> MasterTakeQueue();
 
   /// Master (holding the gate): clear writer_active after consuming a
   /// detached queue, so the next writer becomes the combiner again.
@@ -270,6 +332,10 @@ class Gate {
     pub_state_.store(s, std::memory_order_relaxed);
   }
 
+  /// WRITE -> FREE with an empty queue: clears writer_active, closes
+  /// the mutation window and wakes waiters. Caller holds m_.
+  void ReleaseWriteLocked();
+
   // Latch-free pre-checks for the spin phases: true when re-acquiring
   // the mutex could change the caller's outcome (gate looks acquirable,
   // queueable, invalidated, or the fences moved off the key).
@@ -293,7 +359,7 @@ class Gate {
   std::atomic<bool> invalidated_{false};
 
   std::atomic<bool> writer_active_{false};
-  std::deque<GateOp> queue_;
+  GateOpQueue queue_;
 
   std::atomic<Key> low_fence_{kKeyMin};
   std::atomic<Key> high_fence_{kKeySentinel};

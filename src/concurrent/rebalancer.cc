@@ -13,22 +13,16 @@
 
 namespace cpma {
 
-std::vector<BatchEntry> CanonicalizeBatch(const std::deque<GateOp>& ops) {
+std::vector<BatchEntry> CanonicalizeEntries(std::vector<BatchEntry> all) {
   // Per-key winner = highest enqueue stamp (ISSUE 5), output sorted by
   // key. Inside one queue arrival order tracks stamp order per
   // producer, but a master drain concatenates the queues of every gate
   // its window covers — queues that accumulated at different times — so
-  // deque position alone is not the issue order. Sorting by (key, seq)
+  // queue position alone is not the issue order. Sorting by (key, seq)
   // stably and keeping each run's last element picks the stamp winner
   // in one contiguous sort + sweep (the pre-stamp code was the same
   // shape keyed on arrival order; unstamped entries, seq 0, keep it as
   // the tie-break).
-  std::vector<BatchEntry> all;
-  all.reserve(ops.size());
-  for (const GateOp& op : ops) {
-    all.push_back(BatchEntry{op.key, op.value,
-                             op.type == GateOp::Type::kRemove, op.seq});
-  }
   std::stable_sort(all.begin(), all.end(),
                    [](const BatchEntry& a, const BatchEntry& b) {
                      return a.key != b.key ? a.key < b.key : a.seq < b.seq;
@@ -293,16 +287,16 @@ void Rebalancer::ReleaseGates(Structure* snap, size_t gb, size_t ge) {
 
 void Rebalancer::AcquireGatesAndDrain(Structure* snap, size_t nb, size_t ne,
                                       size_t* gb, size_t* ge,
-                                      std::deque<GateOp>* raw) {
+                                      std::vector<GateOp>* raw) {
   const size_t old_b = *gb, old_e = *ge;
   AcquireGates(snap, nb, ne, gb, ge);
   auto drain = [&](size_t g) {
     Gate& gate = snap->gates[g];
     gate.MasterClearWriterActive();
-    std::deque<GateOp> q = gate.MasterTakeQueue();
+    const std::vector<GateOp> q = gate.MasterTakeQueue();
     pma_->pending_async_.fetch_sub(static_cast<int64_t>(q.size()),
                                    std::memory_order_relaxed);
-    for (const GateOp& op : q) raw->push_back(op);
+    raw->insert(raw->end(), q.begin(), q.end());
   };
   if (old_b == old_e) {
     for (size_t g = *gb; g < *ge; ++g) drain(g);
@@ -322,7 +316,7 @@ void Rebalancer::HandleWindowWork(const Request& req) {
   const size_t B = st->segment_capacity();
 
   size_t gb = req.gate_id, ge = req.gate_id;
-  std::deque<GateOp> raw;
+  std::vector<GateOp> raw;
   AcquireGatesAndDrain(snap, req.gate_id, req.gate_id + 1, &gb, &ge, &raw);
   Gate& origin = snap->gates[req.gate_id];
 
@@ -485,20 +479,20 @@ void Rebalancer::UpdateFences(Structure* snap, size_t gb, size_t ge) {
   RecomputeFences(snap, gb, ge);
 }
 
-bool Rebalancer::ExecuteResize(Structure* snap, std::deque<GateOp> extra) {
+bool Rebalancer::ExecuteResize(Structure* snap, std::vector<GateOp> extra) {
   TailSpan tail_span(TailEvent::kResize);
   Storage* st = snap->storage.get();
   // Drain every combining queue; those updates are merged into the new
   // array in one pass (then the queues' gates die with the snapshot).
   Progress("resize:drain");
-  std::deque<GateOp> all_ops = std::move(extra);
+  std::vector<GateOp> all_ops = std::move(extra);
   for (size_t g = 0; g < snap->num_gates(); ++g) {
     Gate& gate = snap->gates[g];
     gate.MasterClearWriterActive();
-    std::deque<GateOp> q = gate.MasterTakeQueue();
+    const std::vector<GateOp> q = gate.MasterTakeQueue();
     pma_->pending_async_.fetch_sub(static_cast<int64_t>(q.size()),
                                    std::memory_order_relaxed);
-    for (const GateOp& op : q) all_ops.push_back(op);
+    all_ops.insert(all_ops.end(), q.begin(), q.end());
   }
   std::vector<BatchEntry> batch = CanonicalizeBatch(all_ops);
   size_t ins = 0, del = 0;
@@ -611,7 +605,7 @@ std::unique_ptr<Storage> Rebalancer::AllocStorageWithRetry(size_t new_segs,
 }
 
 void Rebalancer::RequeueAndReschedule(Structure* snap,
-                                      const std::deque<GateOp>& ops) {
+                                      const std::vector<GateOp>& ops) {
   const size_t num_gates = snap->num_gates();
   // Bucket the drained ops back into their fence-owning gates, in seq
   // order. All gates are held, so fences cannot move under us; the index

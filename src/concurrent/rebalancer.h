@@ -28,6 +28,7 @@
 #include <deque>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -36,10 +37,24 @@
 
 namespace cpma {
 
-/// Collapse a combining queue into a sorted, per-key last-wins batch;
-/// "last" is decided by the ops' enqueue stamps (GateOp::seq), falling
-/// back to arrival order for unstamped (seq 0) entries.
-std::vector<BatchEntry> CanonicalizeBatch(const std::deque<GateOp>& ops);
+/// Sort `entries` by (key, seq), stably, and keep each key's last one:
+/// the CanonicalizeBatch core.
+std::vector<BatchEntry> CanonicalizeEntries(std::vector<BatchEntry> entries);
+
+/// Collapse a combining queue (any sequence of GateOps) into a sorted,
+/// per-key last-wins batch; "last" is decided by the ops' enqueue stamps
+/// (GateOp::seq), falling back to arrival order for unstamped (seq 0)
+/// entries.
+template <typename Ops>
+std::vector<BatchEntry> CanonicalizeBatch(const Ops& ops) {
+  std::vector<BatchEntry> entries;
+  entries.reserve(ops.size());
+  for (const GateOp& op : ops) {
+    entries.push_back(BatchEntry{op.key, op.value,
+                                 op.type == GateOp::Type::kRemove, op.seq});
+  }
+  return CanonicalizeEntries(std::move(entries));
+}
 
 class Rebalancer {
  public:
@@ -124,7 +139,7 @@ class Rebalancer {
   /// AcquireGates + drain the combining queues of the newly acquired
   /// gates into *raw (decrementing the owner's pending-op counter).
   void AcquireGatesAndDrain(Structure* snap, size_t nb, size_t ne, size_t* gb,
-                            size_t* ge, std::deque<GateOp>* raw);
+                            size_t* ge, std::vector<GateOp>* raw);
   void ReleaseGates(Structure* snap, size_t gb, size_t ge);
 
   /// Execute a (possibly worker-parallel) spread of segments [b, e).
@@ -151,7 +166,7 @@ class Rebalancer {
   /// retry batches are scheduled, the gates are released, the error is
   /// reported through ConcurrentPMA::ReportError, and false is returned
   /// — no op is lost and the old snapshot stays live.
-  bool ExecuteResize(Structure* snap, std::deque<GateOp> extra = {});
+  bool ExecuteResize(Structure* snap, std::vector<GateOp> extra = {});
 
   /// The resize ladder's storage allocation: TryCreate with collect +
   /// backoff retries at `new_segs`, then halving capacities while the
@@ -165,7 +180,7 @@ class Rebalancer {
   /// later writers queue behind them), re-account pending_async_,
   /// release all gates and schedule deferred retry batches with
   /// escalating backoff.
-  void RequeueAndReschedule(Structure* snap, const std::deque<GateOp>& ops);
+  void RequeueAndReschedule(Structure* snap, const std::vector<GateOp>& ops);
 
   // (MasterApplyOp, a master-as-client apply for escaped ops, was
   // removed in ISSUE 5: it acquired gates WITHOUT draining their

@@ -75,10 +75,6 @@
 #include "concurrent/snapshot.h"
 #include "pma/config.h"
 
-// Feature macro for externally grafted bench drivers (see the macros at
-// the top of concurrent/concurrent_pma.h).
-#define CPMA_SHARDED_FRONTEND 1
-
 namespace cpma {
 
 class ShardedPMA;

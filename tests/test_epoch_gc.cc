@@ -14,6 +14,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <new>
 #include <set>
 #include <thread>
 #include <vector>
@@ -147,6 +149,57 @@ TEST(EpochGCCore, SlotReusedAfterThreadExit) {
   std::thread([&] { EpochGuard guard(gc); }).join();  // recycles the slot
   gc.Collect();
   EXPECT_EQ(freed.load(), 1);
+}
+
+// LocalSlot's per-thread cache: a thread cycling over several live GCs
+// (a ShardedPMA client holds one per shard) keeps one slot per GC, and
+// the entry of a destroyed GC is purged on the next registration instead
+// of being matched — also when a new GC is built at the dead one's
+// address, where only the instance id tells them apart.
+TEST(EpochGCCore, ThreadSlotCacheKeepsOneSlotPerGcAndPurgesDeadOnes) {
+  std::thread([] {  // a fresh thread: its cache starts empty
+    constexpr size_t kGcs = 8;
+    std::vector<std::unique_ptr<EpochGC>> gcs;
+    std::vector<EpochSlot*> slots;
+    for (size_t i = 0; i < kGcs; ++i) {
+      gcs.push_back(std::make_unique<EpochGC>());
+      slots.push_back(gcs[i]->LocalSlot());
+    }
+    for (int round = 0; round < 100; ++round) {
+      for (size_t i = 0; i < kGcs; ++i) {
+        EpochGuard guard(*gcs[i]);
+        ASSERT_EQ(gcs[i]->LocalSlot(), slots[i]) << "gc " << i;
+      }
+    }
+    EXPECT_EQ(EpochGC::ThreadSlotCacheSize(), kGcs);
+
+    alignas(EpochGC) unsigned char storage[sizeof(EpochGC)];
+    EpochGC* dead = new (storage) EpochGC();
+    dead->LocalSlot();
+    EXPECT_EQ(EpochGC::ThreadSlotCacheSize(), kGcs + 1);
+    dead->~EpochGC();
+    EpochGC* reborn = new (storage) EpochGC();  // same address, new id
+    EpochSlot* slot = reborn->LocalSlot();
+    EXPECT_EQ(EpochGC::ThreadSlotCacheSize(), kGcs + 1)
+        << "the dead GC's entry must be purged when the new one is added";
+    EXPECT_TRUE(slot->in_use.load());
+    // The slot is one of reborn's own: a pin in it holds reborn's epoch.
+    reborn->Enter(slot);
+    EXPECT_TRUE(reborn->TryAdvanceEpoch());
+    EXPECT_FALSE(reborn->TryAdvanceEpoch()) << "pin not seen by reborn";
+    reborn->Exit(slot);
+    EXPECT_TRUE(reborn->TryAdvanceEpoch());
+    reborn->~EpochGC();
+
+    // Destroyed GCs' entries linger only until the next registration.
+    gcs.pop_back();
+    EpochGC fresh;
+    fresh.LocalSlot();
+    EXPECT_EQ(EpochGC::ThreadSlotCacheSize(), kGcs);
+    for (size_t i = 0; i < gcs.size(); ++i) {
+      EXPECT_EQ(gcs[i]->LocalSlot(), slots[i]) << "gc " << i;
+    }
+  }).join();
 }
 
 // ASan coverage: destruction with garbage still pending must free both

@@ -163,7 +163,7 @@ TEST(Gate, WriterReacquireFailsAfterInvalidation) {
   g.TransferToRebalancer();
   std::thread master([&] {
     g.MasterAcquire();
-    std::deque<GateOp> q = g.MasterTakeQueue();
+    std::vector<GateOp> q = g.MasterTakeQueue();
     g.InvalidateAndRelease();
   });
   EXPECT_FALSE(g.WriterReacquireAfterRebal());
