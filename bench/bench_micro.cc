@@ -117,14 +117,14 @@ BENCHMARK(BM_SequentialPmaScan);
 
 void BM_RewiredSwap(benchmark::State& state) {
   const size_t bytes = static_cast<size_t>(state.range(0));
-  auto region = RewiredRegion::Create(bytes, bytes);
+  auto region = RewiredRegion::Create(bytes, bytes, /*use_rewiring=*/true);
   for (auto _ : state) {
     region->SwapPages(0, 0, bytes);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(bytes));
   state.SetLabel(region->rewiring_enabled() ? "mmap-rewiring"
-                                            : "memcpy-fallback");
+                                            : "copy-fallback");
 }
 BENCHMARK(BM_RewiredSwap)->Range(1 << 14, 1 << 22);
 

@@ -448,7 +448,29 @@ bool ConcurrentPMA::ApplyOpLocal(Structure* snap, Gate* gate, const GateOp& op,
       count_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
-    // Segment full: local rebalance over in-gate calibrator windows.
+    // Segment full. A key past its last item fits the front of segment
+    // s + 1 just as well (LocateSegment picks the rightmost route <= key,
+    // so every key stored after s is greater): put it there when s + 1
+    // is in this gate, has room, and is not part of the gate's empty
+    // tail. An empty s + 1 before a non-empty segment is a hole that
+    // typically lost this very key to a Remove; filling the empty tail
+    // instead would pack an ascending run to 100% rather than spread it.
+    if (pos == card && s + 1 < gate->seg_end() && st->card(s + 1) < B) {
+      size_t t = s + 1;
+      while (t < gate->seg_end() && st->card(t) == 0) ++t;
+      if (t < gate->seg_end()) {
+        const uint32_t next_card = st->card(s + 1);
+        Item* next = st->segment(s + 1);
+        hotpath::TaggedMoveItems(next + 1, next, next_card);
+        hotpath::TaggedStoreItem(next, Item{op.key, op.value});
+        st->set_card(s + 1, next_card + 1);
+        st->set_route(s + 1, op.key);
+        st->bump_insert_count(s + 1);
+        count_.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      }
+    }
+    // Local rebalance over in-gate calibrator windows.
     if (++attempts > 8) {
       *trigger_seg = s;
       return false;

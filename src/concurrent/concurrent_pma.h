@@ -272,10 +272,10 @@ class ConcurrentPMA : public OrderedMap {
 
   // ------------------------------------------- fault tolerance (ISSUE 7)
 
-  /// True when the current snapshot publishes rebalances by copy instead
-  /// of zero-copy remaps: anonymous fallback backend (memfd/mmap denied
-  /// or CPMA_FORCE_NO_REWIRE=1), use_rewiring=false, or a region that
-  /// degraded after a remap publication failure.
+  /// True when use_rewiring was requested and the current storage does
+  /// not rewire: memfd/mmap denied or CPMA_FORCE_NO_REWIRE=1 (anonymous
+  /// backend), or a region that degraded after a remap publication
+  /// failure. Always false on the default copy backend.
   bool fallback_backend_active() const;
 
   /// Install a callback fired (from the rebalancer master thread) every

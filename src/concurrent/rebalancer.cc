@@ -505,6 +505,11 @@ bool Rebalancer::ExecuteResize(Structure* snap, std::vector<GateOp> extra) {
   // replacement exists in full do we publish — a failure at any point
   // leaves the old snapshot untouched and falls to the requeue path.
   Progress("resize:alloc");
+  // The old buffer is idle (every gate is held) and only scratch: hand
+  // its pages back before the new storage is faulted in, so the resize
+  // peak holds two regions and not the old buffer too. A failed resize
+  // keeps the old storage, whose next rebalance faults the pages anew.
+  st->ReleaseBuffer();
   const size_t new_segs = SegmentsForCount(total);
   Status status;
   std::unique_ptr<Storage> fresh =

@@ -38,8 +38,17 @@ struct PmaConfig {
   /// Gaps are allocated proportionally to recent insertion activity.
   bool adaptive = true;
 
-  /// Use mmap-based memory rewiring for rebalances when available.
-  bool use_rewiring = true;
+  /// Publish rebalances by memory rewiring (paper §2) instead of by
+  /// copy. The default (false) keeps the items in anonymous memory
+  /// advised for 2 MiB transparent huge pages and publishes each
+  /// rebalance window with one copy. Rewiring maps a memfd whose pages
+  /// are 4 KiB unless the kernel enables THP for shmem (it usually
+  /// does not): every publish costs one mmap per page run plus a minor
+  /// fault per remapped page on its next touch, and every access walks
+  /// 4 KiB page tables. What it buys is zero-copy COW snapshot views;
+  /// without it, snapshots copy each gate's chunk to the heap before
+  /// the first write after capture. See rewiring/rewiring.h.
+  bool use_rewiring = false;
 
   /// Initial number of segments (power of two, >= 2).
   size_t initial_num_segments = 2;

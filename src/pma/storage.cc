@@ -19,12 +19,8 @@ bool Storage::Init(size_t num_segments, size_t segment_capacity,
     return false;
   }
   const size_t bytes = capacity() * sizeof(Item);
-  region_ = RewiredRegion::Create(bytes, bytes, /*want_huge_pages=*/true,
-                                  status);
+  region_ = RewiredRegion::Create(bytes, bytes, use_rewiring, status);
   if (region_ == nullptr) return false;
-  // With use_rewiring == false, SwapWindow always takes the memcpy path,
-  // which lets benchmarks compare rewired vs copy-based rebalancing.
-  force_copy_ = !use_rewiring;
   items_ = reinterpret_cast<Item*>(region_->data());
   buffer_ = reinterpret_cast<Item*>(region_->buffer());
   try {
@@ -84,15 +80,15 @@ void Storage::SwapWindow(size_t seg_begin, size_t seg_end) {
   const size_t off = seg_begin * segment_bytes();
   const size_t len = (seg_end - seg_begin) * segment_bytes();
 #if !CPMA_TSAN
-  if (!force_copy_ && region_->CanSwap(off, off, len)) {
-    region_->SwapPages(off, off, len);
+  if (region_->CanSwap(off, off, len)) {
+    region_->SwapPages(off, off, len);  // remaps only with rewiring active
     return;
   }
 #endif
-  // Copy publish (alignment forbids a remap, use_rewiring=false, or a
-  // TSan build). The destination races with optimistic readers, so the
-  // copy is tagged (plain memcpy in production, per-word atomics under
-  // TSan — common/tagged.h). Under TSan the remap publish is disabled
+  // Copy publish (alignment forbids a remap, or a TSan build). The
+  // destination races with optimistic readers, so the copy is tagged
+  // (plain memcpy in production, per-word atomics under TSan —
+  // common/tagged.h). Under TSan the remap publish is disabled
   // outright: the interceptor models mmap(MAP_FIXED) as a plain write
   // to the whole range, and a page exchange cannot be expressed as
   // atomics — readers racing a remap see either the old or the new
@@ -100,8 +96,7 @@ void Storage::SwapWindow(size_t seg_begin, size_t seg_end) {
   // the window; the instrumented build proves exactly that protocol on
   // the copy mechanism (the remap mechanism itself stays covered by
   // the unit/asan rewiring suites).
-  TaggedCopyWords(reinterpret_cast<char*>(items_) + off,
-                  reinterpret_cast<char*>(buffer_) + off, len);
+  region_->CopyPublish(off, off, len);
 }
 
 void Storage::RebuildRoutes(size_t seg_begin, size_t seg_end) {

@@ -14,9 +14,10 @@
 //  - inserts[s]: decayed insertion counter driving adaptive rebalancing.
 //
 // The region owns an equally sized buffer. Rebalances write the new
-// layout into the buffer and publish it with SwapWindow(), which rewires
-// page mappings when alignment permits and falls back to one memcpy
-// otherwise (see rewiring/rewiring.h).
+// layout into the buffer and publish it with SwapWindow(): one copy on
+// the default anonymous huge-page backend; with use_rewiring, a page
+// remap when alignment permits and one copy otherwise (see
+// rewiring/rewiring.h).
 
 #pragma once
 
@@ -81,6 +82,10 @@ class Storage {
   /// copy). Segment-granular; see class comment.
   void SwapWindow(size_t seg_begin, size_t seg_end);
 
+  /// Drop the buffer's pages (RewiredRegion::ReleaseBuffer) while no
+  /// rebalance stages into it.
+  void ReleaseBuffer() { region_->ReleaseBuffer(); }
+
   /// Recompute route[] entries for segments in [seg_begin, seg_end) from
   /// the live data (used after rebalances).
   void RebuildRoutes(size_t seg_begin, size_t seg_end);
@@ -94,11 +99,11 @@ class Storage {
     return region_->num_remap_failures();
   }
 
-  /// True when publishes go through the copy path rather than zero-copy
-  /// remaps: anonymous fallback backend, use_rewiring=false, or a region
-  /// that degraded after a remap failure.
+  /// True when rewiring was requested and is not active: the memfd
+  /// setup failed (or CPMA_FORCE_NO_REWIRE=1) so the region fell back to
+  /// the anonymous backend, or it degraded after a remap failure.
   bool fallback_backend_active() const {
-    return force_copy_ || !region_->rewiring_enabled();
+    return region_->rewiring_requested() && !region_->rewiring_enabled();
   }
   size_t page_bytes() const { return region_->page_bytes(); }
   size_t backing_page_bytes() const { return region_->backing_page_bytes(); }
@@ -148,7 +153,6 @@ class Storage {
   std::vector<uint32_t> card_;
   std::vector<Key> route_;
   std::vector<uint32_t> inserts_;
-  bool force_copy_ = false;
 };
 
 }  // namespace cpma

@@ -5,17 +5,17 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <new>
 #include <thread>
 
 #include "common/failpoint.h"
 #include "common/tagged.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #if defined(__linux__)
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/syscall.h>
-#include <unistd.h>
 #endif
 
 namespace cpma {
@@ -29,6 +29,37 @@ size_t RoundUp(size_t x, size_t align) {
 bool ForceNoRewire() {
   const char* env = std::getenv("CPMA_FORCE_NO_REWIRE");
   return env != nullptr && env[0] == '1' && env[1] == '\0';
+}
+
+constexpr size_t kHugePageBytes = size_t{2} << 20;
+
+// Private anonymous mapping of `bytes` (a page multiple), zero on first
+// touch; nullptr on failure. With `huge`, the mapping starts on a 2 MiB
+// boundary (mapped with slack and trimmed when the kernel did not align
+// it) and is advised MADV_HUGEPAGE, so the fault path can back it with
+// PMD-mapped pages under THP `madvise` as well as `always`.
+char* MapAnonymous(size_t bytes, bool huge) {
+  const int prot = PROT_READ | PROT_WRITE;
+  const int flags = MAP_PRIVATE | MAP_ANONYMOUS;
+  void* p = mmap(nullptr, bytes, prot, flags, -1, 0);
+  if (p == MAP_FAILED) return nullptr;
+  char* base = static_cast<char*>(p);
+  if (!huge) return base;
+  if (bytes >= kHugePageBytes &&
+      reinterpret_cast<uintptr_t>(base) % kHugePageBytes != 0) {
+    munmap(base, bytes);
+    p = mmap(nullptr, bytes + kHugePageBytes, prot, flags, -1, 0);
+    if (p == MAP_FAILED) return nullptr;
+    char* raw = static_cast<char*>(p);
+    base = reinterpret_cast<char*>(
+        RoundUp(reinterpret_cast<uintptr_t>(raw), kHugePageBytes));
+    if (base > raw) munmap(raw, static_cast<size_t>(base - raw));
+    munmap(base + bytes, static_cast<size_t>(raw + kHugePageBytes - base));
+  }
+#if defined(MADV_HUGEPAGE)
+  madvise(base, bytes, MADV_HUGEPAGE);  // best effort
+#endif
+  return base;
 }
 
 #if defined(__linux__)
@@ -104,18 +135,17 @@ bool ErrnoTransient(int err) {
 
 std::unique_ptr<RewiredRegion> RewiredRegion::Create(size_t region_bytes,
                                                      size_t buffer_bytes,
-                                                     bool want_huge_pages,
+                                                     bool use_rewiring,
                                                      Status* status) {
   auto r = std::unique_ptr<RewiredRegion>(new RewiredRegion());
-#if defined(__linux__)
   r->page_size_ = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-#endif
   r->region_bytes_ = RoundUp(region_bytes, r->page_size_);
   r->buffer_bytes_ = RoundUp(buffer_bytes, r->page_size_);
+  r->rewiring_requested_ = use_rewiring;
   const size_t total = r->region_bytes_ + r->buffer_bytes_;
 
 #if defined(__linux__)
-  if (!ForceNoRewire()) {
+  if (use_rewiring && !ForceNoRewire()) {
     const char* failed_call = nullptr;
     r->fd_ = CreateMemFd(total, &failed_call);
     if (r->fd_ < 0) {
@@ -150,12 +180,10 @@ std::unique_ptr<RewiredRegion> RewiredRegion::Create(size_t region_bytes,
         r->region_ = static_cast<char*>(region);
         r->buffer_ = static_cast<char*>(buffer);
 #if defined(MADV_HUGEPAGE)
-        if (want_huge_pages) {
-          // Best effort; memfd-backed maps usually stay on 4K pages unless
-          // the kernel enables THP for shmem, but asking is free.
-          madvise(region, r->region_bytes_, MADV_HUGEPAGE);
-          madvise(buffer, r->buffer_bytes_, MADV_HUGEPAGE);
-        }
+        // Best effort; memfd-backed maps stay on 4K pages unless the
+        // kernel enables THP for shmem, but asking is free.
+        madvise(region, r->region_bytes_, MADV_HUGEPAGE);
+        madvise(buffer, r->buffer_bytes_, MADV_HUGEPAGE);
 #endif
         const size_t region_pages = r->region_bytes_ / r->page_size_;
         const size_t buffer_pages = r->buffer_bytes_ / r->page_size_;
@@ -172,32 +200,30 @@ std::unique_ptr<RewiredRegion> RewiredRegion::Create(size_t region_bytes,
   }
 #endif  // __linux__
 
-  // Fallback: plain allocation, SwapPages copies. This is the last rung
-  // of the ladder — if even this fails, report ResourceExhausted instead
-  // of letting bad_alloc/abort take the process down.
-  (void)want_huge_pages;
+  // Anonymous backend: private anonymous memory, publishes by copy. It
+  // is the last rung of the ladder — if even this fails, report
+  // ResourceExhausted instead of letting the caller abort. Only the live
+  // region is huge-page advised: the buffer is touched one window at a
+  // time, and a huge page would fault in 2 MiB for a window that needs
+  // a few KiB of it.
   char* region_mem = nullptr;
   char* buffer_mem = nullptr;
   if (!CPMA_FAILPOINT("rewiring.fallback_alloc")) {
-    region_mem =
-        static_cast<char*>(::operator new(r->region_bytes_, std::nothrow));
-    buffer_mem =
-        static_cast<char*>(::operator new(r->buffer_bytes_, std::nothrow));
+    region_mem = MapAnonymous(r->region_bytes_, /*huge=*/true);
+    buffer_mem = MapAnonymous(r->buffer_bytes_, /*huge=*/false);
   }
   if (region_mem == nullptr || buffer_mem == nullptr) {
-    ::operator delete(region_mem);
-    ::operator delete(buffer_mem);
+    if (region_mem != nullptr) munmap(region_mem, r->region_bytes_);
+    if (buffer_mem != nullptr) munmap(buffer_mem, r->buffer_bytes_);
     if (status != nullptr) {
       *status = Status::ResourceExhausted(
-          "RewiredRegion fallback allocation failed (" +
+          "RewiredRegion anonymous allocation failed (" +
           std::to_string(total) + " bytes)");
     }
     return nullptr;
   }
   r->region_ = region_mem;
   r->buffer_ = buffer_mem;
-  std::memset(r->region_, 0, r->region_bytes_);
-  std::memset(r->buffer_, 0, r->buffer_bytes_);
   if (status != nullptr) *status = Status::OK();
   return r;
 }
@@ -205,16 +231,9 @@ std::unique_ptr<RewiredRegion> RewiredRegion::Create(size_t region_bytes,
 RewiredRegion::~RewiredRegion() {
   CPMA_CHECK_MSG(views_open_.load(std::memory_order_relaxed) == 0,
                  "RewiredRegion destroyed with open snapshot views");
-#if defined(__linux__)
-  if (fd_ >= 0) {
-    munmap(region_, region_bytes_);
-    munmap(buffer_, buffer_bytes_);
-    close(fd_);
-    return;
-  }
-#endif
-  ::operator delete(region_);
-  ::operator delete(buffer_);
+  munmap(region_, region_bytes_);
+  munmap(buffer_, buffer_bytes_);
+  if (fd_ >= 0) close(fd_);
 }
 
 bool RewiredRegion::CanSwap(size_t region_offset, size_t buffer_offset,
@@ -349,13 +368,23 @@ void RewiredRegion::SwapPages(size_t region_offset, size_t buffer_offset,
   }
 #endif
 
-  // Fallback: single copy buffer -> region (callers stage data in the
-  // buffer; this is the classical two-copies rebalance, second copy
-  // here). The destination races with optimistic gate readers, so the
-  // copy is tagged (common/tagged.h).
+  CopyPublish(region_offset, buffer_offset, len);
+}
+
+void RewiredRegion::CopyPublish(size_t region_offset, size_t buffer_offset,
+                                size_t len) {
+  CPMA_CHECK(region_offset + len <= region_bytes_ &&
+             buffer_offset + len <= buffer_bytes_);
+  // Single copy buffer -> region (callers stage data in the buffer; this
+  // is the classical two-copies rebalance, second copy here). The
+  // destination races with optimistic gate readers, so the copy is
+  // tagged (common/tagged.h).
   TaggedCopyWords(region_ + region_offset, buffer_ + buffer_offset, len);
-  num_remaps_.fetch_add(1, std::memory_order_relaxed);
   num_fallback_copies_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void RewiredRegion::ReleaseBuffer() {
+  if (fd_ < 0) madvise(buffer_, buffer_bytes_, MADV_DONTNEED);
 }
 
 // --------------------------------------------------------------- COW
@@ -422,8 +451,8 @@ std::unique_ptr<RewiredRegion::SnapshotView> RewiredRegion::CreateSnapshotView(
   if (fd_ < 0) {
     if (status != nullptr) {
       *status = Status::InvalidArgument(
-          "snapshot views need the fd-backed rewiring backend (region is in "
-          "anonymous fallback mode)");
+          "snapshot views need the fd-backed rewiring backend (region is on "
+          "the anonymous backend)");
     }
     return nullptr;
   }
@@ -576,8 +605,8 @@ size_t RewiredRegion::backing_page_bytes() const {
 #if defined(__linux__)
   // Walk /proc/self/smaps to the mapping holding the live region and
   // report 2 MiB iff the kernel has PMD-sized pages faulted in for it
-  // (memfd maps show ShmemPmdMapped/FilePmdMapped, the plain-new
-  // fallback AnonHugePages). Reading smaps is microseconds — callers
+  // (memfd maps show ShmemPmdMapped/FilePmdMapped, the anonymous
+  // backend AnonHugePages). Reading smaps is microseconds — callers
   // are bench reporters, not hot paths.
   std::FILE* f = std::fopen("/proc/self/smaps", "r");
   if (f == nullptr) return page_size_;

@@ -1,27 +1,41 @@
-// Memory rewiring (Schuhknecht et al., "RUMA has it", PVLDB'16; paper §2).
+// Item-region memory and its two publish backends.
 //
-// A RewiredRegion is a contiguous virtual address range whose pages are
-// individually backed by pages of an in-memory file (memfd). A second
-// virtual range — the buffer — is backed by spare pages of the same file.
-// Rebalance workers copy elements into the buffer once, then SwapPages()
-// exchanges the *mappings*, so the copied data appears in the array
-// without a second copy, and the array's old physical pages become the
-// next buffer (exactly the protocol in the paper).
+// A RewiredRegion is a live region plus an equally sized staging buffer.
+// Rebalance workers copy elements into the buffer once and then publish
+// a window of it into the region. There are two backends:
 //
-// When memfd/mmap are unavailable (restricted sandbox), the region
-// degrades to plain allocation and SwapPages() performs the second copy;
-// rewiring_enabled() reports which mode is active so benchmarks can
-// label results.
-
-// ISSUE 9 adds copy-on-write snapshot views on top of the same fd: a
-// SnapshotView is a second, read-only mapping of the file pages that
-// back the region at capture time (O(mapped runs) mmap calls, zero
-// copy). The view pins those file pages; writers that need to mutate a
-// pinned page first re-back the live region with a fresh file page
-// carrying a copy of the current content (CowPreserveRange), so the
-// view's image never changes. Superseded pages stay allocated until the
-// last view pinning them closes, then their file extent is hole-punched
-// and recycled.
+//  - Anonymous (the default; PmaConfig::use_rewiring = false). Region
+//    and buffer are private anonymous mappings, zero on first touch. The
+//    live region is 2 MiB aligned and advised MADV_HUGEPAGE, so under
+//    THP `madvise` or `always` reads and inserts walk 2 MiB pages; the
+//    buffer stays on base pages. A publish is one tagged copy
+//    (CopyPublish).
+//  - Rewired (use_rewiring = true; Schuhknecht et al., "RUMA has it",
+//    PVLDB'16; paper §2). Both ranges map pages of one in-memory file
+//    (memfd) and SwapPages exchanges the *mappings*, so the copied data
+//    appears in the region without a second copy and the region's old
+//    physical pages become the next buffer. Its mapping unit is the
+//    file's page: 4 KiB unless the kernel enables THP for shmem. Each
+//    publish then costs one mmap(MAP_FIXED) per page run plus a minor
+//    fault per remapped page on its next touch, and every access walks
+//    4 KiB page tables. What it buys is zero-copy COW snapshot views
+//    (below); on the anonymous backend snapshots copy gate chunks to the
+//    heap instead.
+//
+// Backend ladder: use_rewiring = true tries the memfd first; a failed
+// memfd_create/ftruncate/mmap (or CPMA_FORCE_NO_REWIRE=1) falls back to
+// the anonymous backend, and a failed remap publication degrades the
+// region to copy publishes. rewiring_requested() && !rewiring_enabled()
+// is that "fell back" state.
+//
+// Copy-on-write snapshot views (rewired backend only): a SnapshotView is
+// a second, read-only mapping of the file pages that back the region at
+// capture time (O(mapped runs) mmap calls, zero copy). The view pins
+// those file pages; writers that need to mutate a pinned page first
+// re-back the live region with a fresh file page carrying a copy of the
+// current content (CowPreserveRange), so the view's image never changes.
+// Superseded pages stay allocated until the last view pinning them
+// closes, then their file extent is hole-punched and recycled.
 
 #pragma once
 
@@ -39,18 +53,15 @@ namespace cpma {
 class RewiredRegion {
  public:
   /// Create a region of `region_bytes` plus a buffer of `buffer_bytes`;
-  /// both are rounded up to whole pages. `want_huge_pages` requests
-  /// transparent huge pages via madvise (best effort).
-  ///
-  /// Degradation ladder: memfd + mmap first; any syscall failure there
-  /// (or CPMA_FORCE_NO_REWIRE=1 in the environment, or the
-  /// rewiring.{memfd,ftruncate,mmap} failpoints) falls back to the
-  /// anonymous plain-allocation backend where SwapPages copies. Only
-  /// when even that allocation fails does Create return nullptr, with
-  /// `status` (when non-null) set to ResourceExhausted.
+  /// both are rounded up to whole pages. `use_rewiring` selects the
+  /// memfd backend, falling back to the anonymous one as described in
+  /// the file comment; with false the anonymous backend is built
+  /// directly. Only when the anonymous allocation fails (or the
+  /// rewiring.fallback_alloc failpoint fires) does Create return
+  /// nullptr, with `status` (when non-null) set to ResourceExhausted.
   static std::unique_ptr<RewiredRegion> Create(size_t region_bytes,
                                                size_t buffer_bytes,
-                                               bool want_huge_pages = true,
+                                               bool use_rewiring,
                                                Status* status = nullptr);
 
   ~RewiredRegion();
@@ -66,12 +77,15 @@ class RewiredRegion {
   size_t buffer_bytes() const { return buffer_bytes_; }
   size_t page_size() const { return page_size_; }
 
-  /// True when real mmap-based rewiring is active (as opposed to the
-  /// memcpy fallback) and the region has not degraded to copy publishes
-  /// after a remap failure.
+  /// True when real mmap-based rewiring is active (as opposed to copy
+  /// publishes) and the region has not degraded to copy publishes after
+  /// a remap failure.
   bool rewiring_enabled() const {
     return fd_ >= 0 && !degraded_.load(std::memory_order_relaxed);
   }
+
+  /// The use_rewiring argument of Create.
+  bool rewiring_requested() const { return rewiring_requested_; }
 
   /// True once a remap publication failed and the region permanently
   /// switched to the tagged-copy publish path (memory stays valid; only
@@ -87,20 +101,32 @@ class RewiredRegion {
   /// Exchange the backing of region[region_offset, +len) with
   /// buffer[buffer_offset, +len). Page aligned ranges only (CanSwap).
   /// Postcondition: the region range contains what the buffer range
-  /// contained. In rewired mode the exchange is bidirectional (old array
-  /// pages become buffer); in fallback mode the buffer content is copied
-  /// and the buffer range keeps a stale copy.
+  /// contained. With rewiring active the exchange is bidirectional (old
+  /// array pages become buffer); otherwise it is a CopyPublish and the
+  /// buffer range keeps a stale copy.
   void SwapPages(size_t region_offset, size_t buffer_offset, size_t len);
 
-  /// Number of mmap invocations performed so far (observability for
-  /// tests and the micro benchmark).
+  /// Publish buffer[buffer_offset, +len) into region[region_offset, +len)
+  /// by one tagged copy, on either backend and at any word-aligned
+  /// offsets.
+  void CopyPublish(size_t region_offset, size_t buffer_offset, size_t len);
+
+  /// Hand the buffer's physical pages back to the kernel on the
+  /// anonymous backend (its content reads as zero afterwards). Only
+  /// while nothing stages into or publishes from the buffer. A no-op on
+  /// the rewired backend, whose buffer maps memfd pages that swaps and
+  /// COW views share with the region.
+  void ReleaseBuffer();
+
+  /// Number of mmap(MAP_FIXED) calls made by remap publications so far
+  /// (one per coalesced page run, region and buffer side each).
   uint64_t num_remaps() const {
     return num_remaps_.load(std::memory_order_relaxed);
   }
 
-  /// Number of SwapPages calls that degraded to the memcpy fallback
-  /// (no memfd / restricted sandbox). Together with num_remaps this
-  /// tells a bench run which publish mechanism it actually measured.
+  /// Number of copy publishes (CopyPublish calls, including SwapPages
+  /// calls that copied). Together with num_remaps this tells a bench run
+  /// which publish mechanism it actually measured.
   uint64_t num_fallback_copies() const {
     return num_fallback_copies_.load(std::memory_order_relaxed);
   }
@@ -156,7 +182,7 @@ class RewiredRegion {
 
   /// Capture a view of the whole region. O(mapped runs) mmaps, no data
   /// copy. Returns nullptr with `status` set when the backend cannot
-  /// support views (anonymous fallback mode) or mapping fails
+  /// support views (anonymous backend) or mapping fails
   /// (including the rewiring.view_mmap failpoint) — callers degrade to
   /// heap copies.
   std::unique_ptr<SnapshotView> CreateSnapshotView(Status* status = nullptr);
@@ -218,7 +244,8 @@ class RewiredRegion {
   size_t region_bytes_ = 0;
   size_t buffer_bytes_ = 0;
   size_t page_size_ = 4096;
-  int fd_ = -1;  // memfd; -1 => fallback mode
+  int fd_ = -1;  // memfd; -1 => anonymous backend
+  bool rewiring_requested_ = false;
 
   // Physical (file) page index backing each virtual page.
   std::vector<size_t> region_backing_;

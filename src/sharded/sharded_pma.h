@@ -195,7 +195,8 @@ class ShardedPMA : public OrderedMap {
     uint64_t reroutes = 0;
     uint64_t rebalance_retries = 0;
     uint64_t watchdog_trips = 0;
-    /// Count of shards currently publishing by copy (degraded backend).
+    /// Count of shards that requested rewiring and currently publish by
+    /// copy instead (fallback_backend_active()).
     uint64_t degraded_shards = 0;
     /// EBR counters summed over shards (global_epoch = max).
     EpochGCStats ebr;

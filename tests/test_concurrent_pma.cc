@@ -21,9 +21,13 @@ namespace {
 
 using AsyncMode = ConcurrentConfig::AsyncMode;
 
+// Pinned to the rewired backend: the default-constructed PMAs below run
+// the default anonymous one, and the `norewire` CTest entry
+// (CPMA_FORCE_NO_REWIRE=1) sends these to the anonymous fallback too.
 ConcurrentConfig SmallConfig(AsyncMode mode, size_t seg_cap = 16,
                              int64_t t_delay = 10) {
   ConcurrentConfig cfg;
+  cfg.pma.use_rewiring = true;
   cfg.pma.segment_capacity = seg_cap;
   cfg.segments_per_gate = 4;
   cfg.rebalancer_workers = 2;
@@ -170,6 +174,53 @@ TEST_P(ConcurrentPmaModes, ScanBoundsAndEarlyStop) {
   int visited = 0;
   pma.Scan(0, kKeyMax, [&](Key, Value) { return ++visited < 5; });
   EXPECT_EQ(visited, 5);
+}
+
+// A key between segment s-1's last key and segment s's first key fits
+// either segment. When s-1 is full the key goes to the front of s
+// instead of rebalancing, so removing and re-inserting every stored key
+// of a sparse PMA settles: in the point-op modes every round after the
+// first runs no local rebalance, and in batch mode (where a drained
+// batch may still spread its gate) the count does not grow.
+TEST_P(ConcurrentPmaModes, ReinsertBetweenSegmentsSettles) {
+  ConcurrentConfig cfg;
+  cfg.async_mode = GetParam();
+  cfg.t_delay_ms = 1;
+  cfg.rebalancer_workers = 1;
+  cfg.pma.initial_num_segments = 1024;
+  cfg.pma.shrink_density = 0.0;
+  ConcurrentPMA pma(cfg);
+  constexpr Key kKeys = 2000;
+  constexpr Key kStride = 1000;
+  for (Key i = 0; i < kKeys; ++i) pma.Insert(i * kStride, i);
+  pma.Flush();
+
+  std::vector<uint64_t> per_round;
+  for (int round = 0; round < 6; ++round) {
+    const uint64_t before = pma.num_local_rebalances();
+    for (Key i = 0; i < kKeys; ++i) {
+      pma.Remove(i * kStride);
+      pma.Insert(i * kStride, i + static_cast<Value>(round));
+    }
+    pma.Flush();
+    per_round.push_back(pma.num_local_rebalances() - before);
+  }
+  std::string counts;
+  for (uint64_t n : per_round) counts += " " + std::to_string(n);
+  for (size_t r = 1; r < per_round.size(); ++r) {
+    if (GetParam() == AsyncMode::kBatch) {
+      EXPECT_LE(per_round[r], per_round[r - 1])
+          << "round " << r << "; per round:" << counts;
+    } else {
+      EXPECT_EQ(per_round[r], 0u) << "round " << r << "; per round:" << counts;
+    }
+  }
+  std::string err;
+  ASSERT_TRUE(pma.CheckInvariants(&err)) << err;
+  EXPECT_EQ(pma.Size(), static_cast<size_t>(kKeys));
+  Value v = 0;
+  ASSERT_TRUE(pma.Find((kKeys / 2) * kStride, &v));
+  EXPECT_EQ(v, kKeys / 2 + 5);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ConcurrentPmaModes,

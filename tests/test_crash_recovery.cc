@@ -78,8 +78,9 @@ std::vector<Op> OpStream(uint64_t seed) {
   return ops;
 }
 
-ConcurrentConfig StormConfig() {
+ConcurrentConfig StormConfig(bool use_rewiring = false) {
   ConcurrentConfig cfg;
+  cfg.pma.use_rewiring = use_rewiring;
   cfg.pma.segment_capacity = 16;  // tiny: force rebalances + resizes
   cfg.segments_per_gate = 4;
   cfg.rebalancer_workers = 2;
@@ -90,10 +91,11 @@ ConcurrentConfig StormConfig() {
 // failpoint::kCrashExitCode (the armed site fired), or exits 2/3 on a
 // harness bug (the parent fails the test on those).
 [[noreturn]] void RunChild(const std::string& root, uint64_t seed,
-                           const char* site, const std::string& policy) {
+                           const char* site, const std::string& policy,
+                           bool use_rewiring) {
   if (!failpoint::Set(site, policy.c_str())) ::_exit(2);
   const std::vector<Op> ops = OpStream(seed);
-  ConcurrentPMA pma(StormConfig());
+  ConcurrentPMA pma(StormConfig(use_rewiring));
   for (size_t i = 0; i < ops.size(); ++i) {
     if (ops[i].is_insert) {
       pma.Insert(ops[i].key, ops[i].value);
@@ -149,8 +151,10 @@ class CrashRecoveryTest : public ::testing::Test {
   // Fork the storm with `site` armed, then recover and verify exactly.
   // `deterministic` sites are hit on every checkpoint attempt, so the
   // child MUST die by the crash exit code; opportunistic sites (inside
-  // the background rebalancer) may legitimately never fire.
-  void RunCase(const char* site, bool deterministic) {
+  // the background rebalancer) may legitimately never fire. The storm
+  // runs on the rewired backend when `use_rewiring`.
+  void RunCase(const char* site, bool deterministic,
+               bool use_rewiring = false) {
     SCOPED_TRACE(site);
     const uint64_t seed = CrashSeed();
     // 1..3 fires before the crash: lands the plug-pull at different
@@ -162,7 +166,7 @@ class CrashRecoveryTest : public ::testing::Test {
     ::pid_t pid = ::fork();
     ASSERT_GE(pid, 0) << "fork failed";
     if (pid == 0) {
-      RunChild(root_, seed, site, policy);  // never returns
+      RunChild(root_, seed, site, policy, use_rewiring);  // never returns
     }
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
@@ -256,10 +260,10 @@ TEST_F(CrashRecoveryTest, MidGcUnlink) {
 // inside the persist protocol. Surviving the whole storm without the
 // site firing is a valid outcome (e.g. a fallback-mode sandbox).
 TEST_F(CrashRecoveryTest, MidRemapPublication) {
-  RunCase("rewiring.remap", /*deterministic=*/false);
+  RunCase("rewiring.remap", /*deterministic=*/false, /*use_rewiring=*/true);
 }
 TEST_F(CrashRecoveryTest, MidCowPageGrow) {
-  RunCase("rewiring.cow_grow", false);
+  RunCase("rewiring.cow_grow", false, true);
 }
 TEST_F(CrashRecoveryTest, MidRegionCreate) {
   RunCase("storage.create", false);

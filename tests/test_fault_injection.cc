@@ -51,6 +51,10 @@ class FaultInjectionTest : public ::testing::Test {
 
 // ------------------------------------------------------------- rewiring
 
+// Create's use_rewiring argument: the ladder under test starts at the
+// memfd backend.
+constexpr bool kRewire = true;
+
 // Fill the buffer with `fill`, swap one page, and check it arrived.
 void SwapOnePageAndVerify(RewiredRegion* region, char fill) {
   const size_t page = region->page_size();
@@ -65,7 +69,7 @@ void SwapOnePageAndVerify(RewiredRegion* region, char fill) {
 TEST_F(FaultInjectionTest, RegionCreateFallsBackOnMemfdFailure) {
   ASSERT_TRUE(failpoint::Set("rewiring.memfd", "once"));
   Status st;
-  auto region = RewiredRegion::Create(1 << 20, 1 << 20, false, &st);
+  auto region = RewiredRegion::Create(1 << 20, 1 << 20, kRewire, &st);
   ASSERT_NE(region, nullptr);
   EXPECT_TRUE(st.ok());
   EXPECT_FALSE(region->rewiring_enabled());
@@ -75,7 +79,7 @@ TEST_F(FaultInjectionTest, RegionCreateFallsBackOnMemfdFailure) {
 
 TEST_F(FaultInjectionTest, RegionCreateFallsBackOnFtruncateFailure) {
   ASSERT_TRUE(failpoint::Set("rewiring.ftruncate", "once"));
-  auto region = RewiredRegion::Create(1 << 20, 1 << 20, false);
+  auto region = RewiredRegion::Create(1 << 20, 1 << 20, kRewire);
   ASSERT_NE(region, nullptr);
   EXPECT_FALSE(region->rewiring_enabled());
   SwapOnePageAndVerify(region.get(), 'B');
@@ -83,7 +87,7 @@ TEST_F(FaultInjectionTest, RegionCreateFallsBackOnFtruncateFailure) {
 
 TEST_F(FaultInjectionTest, RegionCreateFallsBackOnMmapFailure) {
   ASSERT_TRUE(failpoint::Set("rewiring.mmap", "once"));
-  auto region = RewiredRegion::Create(1 << 20, 1 << 20, false);
+  auto region = RewiredRegion::Create(1 << 20, 1 << 20, kRewire);
   ASSERT_NE(region, nullptr);
   EXPECT_FALSE(region->rewiring_enabled());
   SwapOnePageAndVerify(region.get(), 'C');
@@ -93,20 +97,20 @@ TEST_F(FaultInjectionTest, RegionCreateFailsOnlyWhenLastRungFails) {
   ASSERT_TRUE(failpoint::Set("rewiring.memfd", "always"));
   ASSERT_TRUE(failpoint::Set("rewiring.fallback_alloc", "always"));
   Status st;
-  auto region = RewiredRegion::Create(1 << 20, 1 << 20, false, &st);
+  auto region = RewiredRegion::Create(1 << 20, 1 << 20, kRewire, &st);
   EXPECT_EQ(region, nullptr);
   EXPECT_EQ(st.code(), Status::Code::kResourceExhausted);
   // Disarm the last rung: creation recovers (still no memfd).
   failpoint::Clear("rewiring.fallback_alloc");
   st = Status::OK();
-  region = RewiredRegion::Create(1 << 20, 1 << 20, false, &st);
+  region = RewiredRegion::Create(1 << 20, 1 << 20, kRewire, &st);
   ASSERT_NE(region, nullptr);
   EXPECT_TRUE(st.ok());
   EXPECT_FALSE(region->rewiring_enabled());
 }
 
 TEST_F(FaultInjectionTest, RemapPublicationFailureDegradesToCopy) {
-  auto region = RewiredRegion::Create(1 << 20, 1 << 20, false);
+  auto region = RewiredRegion::Create(1 << 20, 1 << 20, kRewire);
   ASSERT_NE(region, nullptr);
   if (!region->rewiring_enabled()) {
     GTEST_SKIP() << "no memfd rewiring in this environment";
@@ -124,7 +128,7 @@ TEST_F(FaultInjectionTest, RemapPublicationFailureDegradesToCopy) {
 }
 
 TEST_F(FaultInjectionTest, RemapRunTransientFailureRecoversInPlace) {
-  auto region = RewiredRegion::Create(1 << 20, 1 << 20, false);
+  auto region = RewiredRegion::Create(1 << 20, 1 << 20, kRewire);
   ASSERT_NE(region, nullptr);
   if (!region->rewiring_enabled()) {
     GTEST_SKIP() << "no memfd rewiring in this environment";
@@ -140,7 +144,7 @@ TEST_F(FaultInjectionTest, RemapRunTransientFailureRecoversInPlace) {
 }
 
 TEST_F(FaultInjectionTest, RemapRunExhaustionRestoresThenDegrades) {
-  auto region = RewiredRegion::Create(1 << 20, 1 << 20, false);
+  auto region = RewiredRegion::Create(1 << 20, 1 << 20, kRewire);
   ASSERT_NE(region, nullptr);
   if (!region->rewiring_enabled()) {
     GTEST_SKIP() << "no memfd rewiring in this environment";
@@ -247,6 +251,7 @@ TEST_F(FaultInjectionTest, EpochGCInstallsEmergencyChunkOnGrowthFailure) {
 
 ConcurrentConfig SmallConfig(ConcurrentConfig::AsyncMode mode) {
   ConcurrentConfig cfg;
+  cfg.pma.use_rewiring = true;  // the ladder under test starts at memfd
   cfg.pma.segment_capacity = 32;
   cfg.segments_per_gate = 4;
   cfg.rebalancer_workers = 2;
@@ -364,14 +369,35 @@ TEST_F(FaultInjectionTest, WatchdogStaysQuietOnHealthyRun) {
 }
 
 TEST_F(FaultInjectionTest, FallbackBackendReported) {
+  // Rewiring requested, memfd denied: the anonymous backend stands in
+  // and reports itself as a fallback.
   ConcurrentConfig cfg = SmallConfig(ConcurrentConfig::AsyncMode::kSync);
-  cfg.pma.use_rewiring = false;
+  ASSERT_TRUE(failpoint::Set("rewiring.memfd", "always"));
   ConcurrentPMA pma(cfg);
   EXPECT_TRUE(pma.fallback_backend_active());
   for (Key k = 0; k < 1000; ++k) pma.Insert(k, k);
   pma.Flush();
+  failpoint::ClearAll();
+  EXPECT_TRUE(pma.fallback_backend_active());
   EXPECT_EQ(pma.Size(), 1000u);
   EXPECT_EQ(pma.storage_num_remaps(), 0u);
+  EXPECT_GT(pma.storage_num_fallback_copies(), 0u);
+}
+
+TEST_F(FaultInjectionTest, CopyBackendByChoiceIsNotAFallback) {
+  // use_rewiring = false picks the anonymous backend on purpose: it
+  // publishes by copy and is not reported as degraded.
+  ConcurrentConfig cfg = SmallConfig(ConcurrentConfig::AsyncMode::kSync);
+  cfg.pma.use_rewiring = false;
+  ConcurrentPMA pma(cfg);
+  EXPECT_FALSE(pma.fallback_backend_active());
+  EXPECT_FALSE(pma.storage_rewiring_enabled());
+  for (Key k = 0; k < 1000; ++k) pma.Insert(k, k);
+  pma.Flush();
+  EXPECT_FALSE(pma.fallback_backend_active());
+  EXPECT_EQ(pma.Size(), 1000u);
+  EXPECT_EQ(pma.storage_num_remaps(), 0u);
+  EXPECT_GT(pma.storage_num_fallback_copies(), 0u);
 }
 
 }  // namespace

@@ -1,17 +1,31 @@
 // Tests for mmap-based memory rewiring: aliasing behaviour, page swaps,
-// fallback copies and alignment validation.
+// fallback copies and alignment validation; and for the Storage backends
+// above it: publish counters and huge-page advice.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <numeric>
+#include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "pma/config.h"
+#include "pma/storage.h"
 #include "rewiring/rewiring.h"
 
 namespace cpma {
 namespace {
+
+// Create's use_rewiring argument: every region here asks for the memfd
+// backend (CPMA_FORCE_NO_REWIRE=1, the `norewire` CTest entry, turns it
+// into the anonymous one).
+constexpr bool kRewire = true;
 
 // Scoped CPMA_FORCE_NO_REWIRE=1: the env knob is read once per Create,
 // so setting it only around construction pins that region (and only
@@ -38,7 +52,7 @@ class ForcedNoRewire {
 };
 
 TEST(Rewiring, CreateZeroInitialised) {
-  auto r = RewiredRegion::Create(1 << 16, 1 << 16);
+  auto r = RewiredRegion::Create(1 << 16, 1 << 16, kRewire);
   ASSERT_NE(r, nullptr);
   for (size_t i = 0; i < r->region_bytes(); ++i) {
     ASSERT_EQ(r->data()[i], 0);
@@ -46,13 +60,13 @@ TEST(Rewiring, CreateZeroInitialised) {
 }
 
 TEST(Rewiring, RoundsUpToPages) {
-  auto r = RewiredRegion::Create(1, 1);
+  auto r = RewiredRegion::Create(1, 1, kRewire);
   EXPECT_EQ(r->region_bytes() % r->page_size(), 0u);
   EXPECT_GE(r->region_bytes(), r->page_size());
 }
 
 TEST(Rewiring, SwapMovesBufferContentIntoRegion) {
-  auto r = RewiredRegion::Create(1 << 16, 1 << 16);
+  auto r = RewiredRegion::Create(1 << 16, 1 << 16, kRewire);
   const size_t page = r->page_size();
   std::memset(r->data(), 0xAA, page);
   std::memset(r->buffer(), 0xBB, page);
@@ -66,7 +80,7 @@ TEST(Rewiring, SwapMovesBufferContentIntoRegion) {
 }
 
 TEST(Rewiring, SwapAtNonZeroOffsets) {
-  auto r = RewiredRegion::Create(1 << 16, 1 << 16);
+  auto r = RewiredRegion::Create(1 << 16, 1 << 16, kRewire);
   const size_t page = r->page_size();
   std::memset(r->buffer() + 2 * page, 0x11, 3 * page);
   r->SwapPages(5 * page, 2 * page, 3 * page);
@@ -79,7 +93,7 @@ TEST(Rewiring, SwapAtNonZeroOffsets) {
 }
 
 TEST(Rewiring, RepeatedSwapsStayConsistent) {
-  auto r = RewiredRegion::Create(1 << 16, 1 << 16);
+  auto r = RewiredRegion::Create(1 << 16, 1 << 16, kRewire);
   const size_t page = r->page_size();
   // Write generation tags through the buffer, swap, verify, repeat. This
   // exercises the backing-table bookkeeping as the mappings fragment.
@@ -92,7 +106,7 @@ TEST(Rewiring, RepeatedSwapsStayConsistent) {
 }
 
 TEST(Rewiring, CanSwapValidatesAlignment) {
-  auto r = RewiredRegion::Create(1 << 16, 1 << 16);
+  auto r = RewiredRegion::Create(1 << 16, 1 << 16, kRewire);
   const size_t page = r->page_size();
   EXPECT_TRUE(r->CanSwap(0, 0, page));
   EXPECT_FALSE(r->CanSwap(1, 0, page));
@@ -105,7 +119,7 @@ TEST(Rewiring, CanSwapValidatesAlignment) {
 
 TEST(Rewiring, LargeMultiPageSwap) {
   const size_t bytes = 1 << 20;
-  auto r = RewiredRegion::Create(bytes, bytes);
+  auto r = RewiredRegion::Create(bytes, bytes, kRewire);
   std::vector<char> expect(bytes);
   std::iota(expect.begin(), expect.end(), 0);
   std::memcpy(r->buffer(), expect.data(), bytes);
@@ -113,17 +127,24 @@ TEST(Rewiring, LargeMultiPageSwap) {
   EXPECT_EQ(std::memcmp(r->data(), expect.data(), bytes), 0);
 }
 
-TEST(Rewiring, RemapCounterAdvances) {
-  auto r = RewiredRegion::Create(1 << 16, 1 << 16);
-  const uint64_t before = r->num_remaps();
+TEST(Rewiring, PublishCounterAdvances) {
+  // num_remaps counts mmap calls only; a copy publish counts as a
+  // fallback copy instead.
+  auto r = RewiredRegion::Create(1 << 16, 1 << 16, kRewire);
   r->SwapPages(0, 0, r->page_size());
-  EXPECT_GT(r->num_remaps(), before);
+  if (r->rewiring_enabled()) {
+    EXPECT_GT(r->num_remaps(), 0u);
+    EXPECT_EQ(r->num_fallback_copies(), 0u);
+  } else {
+    EXPECT_EQ(r->num_remaps(), 0u);
+    EXPECT_EQ(r->num_fallback_copies(), 1u);
+  }
 }
 
 TEST(Rewiring, AliasingAfterInterleavedSwaps) {
   // Swap pages 0 and 1 with buffer pages in opposite order and verify the
   // contents land where expected even as backing offsets scramble.
-  auto r = RewiredRegion::Create(1 << 14, 1 << 14);
+  auto r = RewiredRegion::Create(1 << 14, 1 << 14, kRewire);
   const size_t page = r->page_size();
   std::memset(r->buffer() + 0 * page, 0x01, page);
   std::memset(r->buffer() + 1 * page, 0x02, page);
@@ -149,7 +170,7 @@ TEST(Rewiring, AliasingAfterInterleavedSwaps) {
 TEST(RewiringNoRewire, ForcedFallbackIsFullyFunctional) {
   ForcedNoRewire guard;
   Status status;
-  auto r = RewiredRegion::Create(1 << 16, 1 << 16, true, &status);
+  auto r = RewiredRegion::Create(1 << 16, 1 << 16, kRewire, &status);
   ASSERT_NE(r, nullptr);
   EXPECT_TRUE(status.ok()) << status.ToString();
   EXPECT_FALSE(r->rewiring_enabled());
@@ -174,7 +195,7 @@ TEST(RewiringNoRewire, ForcedFallbackIsFullyFunctional) {
 
 TEST(RewiringNoRewire, ForcedFallbackSurvivesRepeatedSwaps) {
   ForcedNoRewire guard;
-  auto r = RewiredRegion::Create(1 << 14, 1 << 14);
+  auto r = RewiredRegion::Create(1 << 14, 1 << 14, kRewire);
   ASSERT_NE(r, nullptr);
   ASSERT_FALSE(r->rewiring_enabled());
   const size_t page = r->page_size();
@@ -189,7 +210,7 @@ TEST(RewiringNoRewire, ForcedFallbackSurvivesRepeatedSwaps) {
 // --------------------------------------------- COW snapshot views (ISSUE 9)
 
 TEST(RewiringSnapshot, ViewAliasesRegionUntilPreserved) {
-  auto r = RewiredRegion::Create(1 << 16, 1 << 16);
+  auto r = RewiredRegion::Create(1 << 16, 1 << 16, kRewire);
   ASSERT_NE(r, nullptr);
   if (!r->rewiring_enabled()) GTEST_SKIP() << "fallback backend: no views";
   std::memset(r->data(), 0x5A, r->region_bytes());
@@ -226,7 +247,7 @@ TEST(RewiringSnapshot, RemapPublicationWhileViewOpen) {
   // The ISSUE 9 satellite: SwapPages (the rebalancer's remap publish)
   // while a snapshot view is open. A preserved range must stay frozen
   // across the publication; the live region sees the buffer content.
-  auto r = RewiredRegion::Create(1 << 16, 1 << 16);
+  auto r = RewiredRegion::Create(1 << 16, 1 << 16, kRewire);
   ASSERT_NE(r, nullptr);
   if (!r->rewiring_enabled()) GTEST_SKIP() << "fallback backend: no views";
   const size_t page = r->page_size();
@@ -256,7 +277,7 @@ TEST(RewiringSnapshot, RemapPublicationWhileViewOpen) {
 }
 
 TEST(RewiringSnapshot, TwoViewsFreezeIndependently) {
-  auto r = RewiredRegion::Create(1 << 15, 1 << 15);
+  auto r = RewiredRegion::Create(1 << 15, 1 << 15, kRewire);
   ASSERT_NE(r, nullptr);
   if (!r->rewiring_enabled()) GTEST_SKIP() << "fallback backend: no views";
   const size_t page = r->page_size();
@@ -287,7 +308,7 @@ TEST(RewiringSnapshot, TwoViewsFreezeIndependently) {
 
 TEST(RewiringSnapshot, FallbackBackendReportsUnavailable) {
   ForcedNoRewire guard;
-  auto r = RewiredRegion::Create(1 << 14, 1 << 14);
+  auto r = RewiredRegion::Create(1 << 14, 1 << 14, kRewire);
   ASSERT_NE(r, nullptr);
   ASSERT_FALSE(r->rewiring_enabled());
   Status st;
@@ -300,9 +321,9 @@ TEST(RewiringNoRewire, EnvReadPerCreateNotProcessWide) {
   std::unique_ptr<RewiredRegion> forced;
   {
     ForcedNoRewire guard;
-    forced = RewiredRegion::Create(1 << 14, 1 << 14);
+    forced = RewiredRegion::Create(1 << 14, 1 << 14, kRewire);
   }
-  auto fresh = RewiredRegion::Create(1 << 14, 1 << 14);
+  auto fresh = RewiredRegion::Create(1 << 14, 1 << 14, kRewire);
   ASSERT_NE(forced, nullptr);
   ASSERT_NE(fresh, nullptr);
   EXPECT_FALSE(forced->rewiring_enabled());
@@ -310,6 +331,133 @@ TEST(RewiringNoRewire, EnvReadPerCreateNotProcessWide) {
   // (real rewiring on any Linux box where memfd works).
   if (fresh->rewiring_enabled()) {
     EXPECT_EQ(fresh->num_fallback_copies(), 0u);
+  }
+}
+
+// ------------------------------------------------ Storage backends
+
+// Fill buffer segments [b, e) with a per-segment tag and publish them.
+void PublishTagged(Storage* st, size_t b, size_t e, Key tag) {
+  for (size_t s = b; s < e; ++s) {
+    for (size_t i = 0; i < st->segment_capacity(); ++i) {
+      st->buffer_segment(s)[i] = Item{tag + s, i};
+    }
+  }
+  st->SwapWindow(b, e);
+  for (size_t s = b; s < e; ++s) {
+    ASSERT_EQ(st->segment(s)[0].key, tag + s) << "segment " << s;
+  }
+}
+
+// 32 segments x 128 items x 16 B = 64 KiB windows: page aligned, so the
+// rewired backend publishes them by remap; one 2 KiB segment is not.
+TEST(StoragePublish, RewiredCountsMmapCallsOnly) {
+  if (CPMA_TSAN) GTEST_SKIP() << "TSan builds publish by copy only";
+  Storage st(64, 128, /*use_rewiring=*/true);
+  if (!st.rewiring_enabled()) {
+    // No memfd (or CPMA_FORCE_NO_REWIRE=1): the requested backend is not
+    // active, which is exactly what fallback_backend_active reports.
+    EXPECT_TRUE(st.fallback_backend_active());
+    GTEST_SKIP() << "no memfd rewiring here";
+  }
+  EXPECT_FALSE(st.fallback_backend_active());
+  PublishTagged(&st, 0, 32, 1000);
+  // A fresh region is one physical run: one mmap per side.
+  EXPECT_EQ(st.num_remaps(), 2u);
+  EXPECT_EQ(st.num_fallback_copies(), 0u);
+  PublishTagged(&st, 40, 41, 2000);
+  EXPECT_EQ(st.num_remaps(), 2u);
+  EXPECT_EQ(st.num_fallback_copies(), 1u);
+}
+
+TEST(StoragePublish, AnonymousCountsEveryCopy) {
+  Storage st(64, 128, /*use_rewiring=*/false);
+  EXPECT_FALSE(st.rewiring_enabled());
+  EXPECT_FALSE(st.fallback_backend_active());  // chosen, not fallen back to
+  PublishTagged(&st, 0, 32, 1000);
+  PublishTagged(&st, 40, 41, 2000);
+  EXPECT_EQ(st.num_remaps(), 0u);
+  EXPECT_EQ(st.num_fallback_copies(), 2u);
+}
+
+// The bracketed value of the THP `enabled` setting ("never" if absent).
+std::string ThpEnabledMode() {
+  std::ifstream f("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  if (!std::getline(f, line)) return "never";
+  const size_t a = line.find('['), b = line.find(']');
+  return a == std::string::npos || b == std::string::npos
+             ? line
+             : line.substr(a + 1, b - a - 1);
+}
+
+// The value of `field` (e.g. "VmFlags:") in the /proc/self/smaps entry
+// of the mapping that contains `addr`; empty if not found.
+std::string SmapsField(const void* addr, const std::string& field) {
+  std::ifstream f("/proc/self/smaps");
+  const auto target = reinterpret_cast<uintptr_t>(addr);
+  std::string line;
+  bool in_mapping = false;
+  while (std::getline(f, line)) {
+    unsigned long lo = 0, hi = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx ", &lo, &hi) == 2) {
+      in_mapping = target >= lo && target < hi;
+    } else if (in_mapping && line.rfind(field, 0) == 0) {
+      return line.substr(field.size());
+    }
+  }
+  return "";
+}
+
+std::set<std::string> VmFlagsOf(const void* addr) {
+  std::istringstream flags(SmapsField(addr, "VmFlags:"));
+  std::set<std::string> out;
+  for (std::string flag; flags >> flag;) out.insert(flag);
+  return out;
+}
+
+// The default Storage advises only its live region for huge pages and
+// aligns it to 2 MiB. VmFlags `hg` is what MADV_HUGEPAGE sets, so this
+// holds whether or not the kernel found free 2 MiB pages (AnonHugePages
+// would not be deterministic).
+TEST(StorageBackend, DefaultRegionIsHugePageAdvisedBufferIsNot) {
+  if (ThpEnabledMode() == "never") GTEST_SKIP() << "THP disabled";
+  Storage st(1024, 128, PmaConfig().use_rewiring);  // 2 MiB of items
+  EXPECT_FALSE(st.rewiring_enabled());
+  const std::set<std::string> region = VmFlagsOf(st.segment(0));
+  const std::set<std::string> buffer = VmFlagsOf(st.buffer_segment(0));
+  ASSERT_FALSE(region.empty()) << "region mapping not found in smaps";
+  ASSERT_FALSE(buffer.empty()) << "buffer mapping not found in smaps";
+  EXPECT_EQ(region.count("hg"), 1u);
+  EXPECT_EQ(buffer.count("hg"), 0u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(st.segment(0)) % (2u << 20), 0u);
+}
+
+// A resize hands the old storage's buffer back before the new storage
+// is faulted in: on the anonymous backend its pages leave the resident
+// set and read as zero; on the rewired backend nothing changes.
+TEST(StorageBackend, ReleaseBufferDropsAnonymousPages) {
+  for (bool rewire : {false, true}) {
+    SCOPED_TRACE(rewire ? "rewired" : "anonymous");
+    Storage st(1024, 128, rewire);  // 2 MiB buffer
+    for (size_t s = 0; s < st.num_segments(); ++s) {
+      st.buffer_segment(s)[0] = Item{s + 1, s};
+    }
+    // Rss of the buffer's mapping, which may have merged with a
+    // neighbouring mapping: compare differences, not absolutes.
+    auto rss_kb = [&] {
+      return std::strtoul(SmapsField(st.buffer_segment(0), "Rss:").c_str(),
+                          nullptr, 10);
+    };
+    const unsigned long before = rss_kb();
+    EXPECT_GE(before, 2048u);
+    st.ReleaseBuffer();
+    if (st.rewiring_enabled()) {
+      EXPECT_EQ(st.buffer_segment(1023)[0].key, 1024u);
+    } else {
+      EXPECT_EQ(st.buffer_segment(1023)[0].key, 0u);
+      EXPECT_LE(rss_kb() + 2048, before);
+    }
   }
 }
 

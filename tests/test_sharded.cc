@@ -446,6 +446,7 @@ TEST(ChaosShardLocal, DegradationStaysOnTheLoadedShard) {
                                   /*coalesce=*/8,
                                   ConcurrentConfig::AsyncMode::kOneByOne);
   cfg.splitters = {10000, 20000, 30000};
+  cfg.shard.pma.use_rewiring = true;  // degraded = rewiring not active
   ShardedPMA pma(cfg);  // initial storages created healthy
 
   ASSERT_TRUE(failpoint::Set("rewiring.memfd", "always"));

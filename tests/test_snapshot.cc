@@ -28,6 +28,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -41,8 +42,19 @@ namespace {
 
 using AsyncMode = ConcurrentConfig::AsyncMode;
 
-ConcurrentConfig SmallConfig(size_t seg_cap = 16) {
+// Every case runs on both storage backends: the rewired one serves
+// snapshots from zero-copy COW views, the default anonymous one from
+// per-gate heap copies.
+class Snapshot : public ::testing::TestWithParam<bool> {};
+class ShardedSnapshot : public ::testing::TestWithParam<bool> {};
+
+std::string BackendName(const ::testing::TestParamInfo<bool>& info) {
+  return info.param ? "rewired" : "anonymous";
+}
+
+ConcurrentConfig SmallConfig(bool use_rewiring, size_t seg_cap = 16) {
   ConcurrentConfig cfg;
+  cfg.pma.use_rewiring = use_rewiring;
   cfg.pma.segment_capacity = seg_cap;
   cfg.segments_per_gate = 4;
   cfg.rebalancer_workers = 2;
@@ -78,8 +90,8 @@ void ExpectSnapshotExactly(const std::map<Key, Value>& oracle,
   EXPECT_EQ(snap.scan_retries(), 0u);
 }
 
-TEST(Snapshot, EmptyPmaSnapshot) {
-  ConcurrentPMA pma(SmallConfig());
+TEST_P(Snapshot, EmptyPmaSnapshot) {
+  ConcurrentPMA pma(SmallConfig(GetParam()));
   auto snap = pma.Snapshot();
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->CountItems(), 0u);
@@ -91,8 +103,8 @@ TEST(Snapshot, EmptyPmaSnapshot) {
   EXPECT_EQ(pma.num_snapshots_taken(), 1u);
 }
 
-TEST(Snapshot, FrozenWhileLiveDiverges) {
-  ConcurrentPMA pma(SmallConfig());
+TEST_P(Snapshot, FrozenWhileLiveDiverges) {
+  ConcurrentPMA pma(SmallConfig(GetParam()));
   std::map<Key, Value> oracle;
   Random rng(17);
   for (int i = 0; i < 3000; ++i) {
@@ -131,8 +143,8 @@ TEST(Snapshot, FrozenWhileLiveDiverges) {
   EXPECT_EQ(pma.snapshots_open(), 0u);
 }
 
-TEST(Snapshot, RangeScanRespectsBounds) {
-  ConcurrentPMA pma(SmallConfig());
+TEST_P(Snapshot, RangeScanRespectsBounds) {
+  ConcurrentPMA pma(SmallConfig(GetParam()));
   for (Key k = 10; k <= 1000; k += 10) pma.Insert(k, k * 2);
   pma.Flush();
   auto snap = pma.Snapshot();
@@ -155,8 +167,8 @@ TEST(Snapshot, RangeScanRespectsBounds) {
   EXPECT_EQ(n, 3);
 }
 
-TEST(Snapshot, ManyOverlappingSnapshotsSeeTheirOwnCut) {
-  ConcurrentPMA pma(SmallConfig());
+TEST_P(Snapshot, ManyOverlappingSnapshotsSeeTheirOwnCut) {
+  ConcurrentPMA pma(SmallConfig(GetParam()));
   std::vector<std::unique_ptr<PMASnapshot>> snaps;
   std::vector<std::map<Key, Value>> oracles;
   std::map<Key, Value> oracle;
@@ -191,8 +203,8 @@ TEST(Snapshot, ManyOverlappingSnapshotsSeeTheirOwnCut) {
   EXPECT_EQ(pma.snapshots_open(), 0u);
 }
 
-TEST(Snapshot, SurvivesResizeOfLiveStructure) {
-  ConcurrentPMA pma(SmallConfig(8));
+TEST_P(Snapshot, SurvivesResizeOfLiveStructure) {
+  ConcurrentPMA pma(SmallConfig(GetParam(), 8));
   std::map<Key, Value> oracle;
   for (Key k = 1; k <= 200; ++k) {
     pma.Insert(k, k + 7);
@@ -210,8 +222,8 @@ TEST(Snapshot, SurvivesResizeOfLiveStructure) {
   ExpectSnapshotExactly(oracle, *snap);
 }
 
-TEST(Snapshot, StormScansAreConsistentAndRetryFree) {
-  ConcurrentPMA pma(SmallConfig());
+TEST_P(Snapshot, StormScansAreConsistentAndRetryFree) {
+  ConcurrentPMA pma(SmallConfig(GetParam()));
   // Value is derived from the key, so ANY point-in-time cut satisfies
   // v == 3k+1 for every item; the frozen cut additionally must be
   // identical across two passes.
@@ -264,11 +276,11 @@ TEST(Snapshot, StormScansAreConsistentAndRetryFree) {
   for (auto& t : writers) t.join();
 }
 
-TEST(Snapshot, OpenSnapshotBlocksDestruction) {
+TEST_P(Snapshot, OpenSnapshotBlocksDestruction) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   EXPECT_DEATH(
       {
-        auto pma = std::make_unique<ConcurrentPMA>();
+        auto pma = std::make_unique<ConcurrentPMA>(SmallConfig(GetParam()));
         pma->Insert(1, 2);
         pma->Flush();
         auto snap = pma->Snapshot();
@@ -279,10 +291,11 @@ TEST(Snapshot, OpenSnapshotBlocksDestruction) {
 
 // ------------------------------------------------------------- sharded
 
-TEST(ShardedSnapshot, DrainsCoalescingAndFreezesAllShards) {
+TEST_P(ShardedSnapshot, DrainsCoalescingAndFreezesAllShards) {
   for (auto part :
        {ShardedConfig::Partition::kRange, ShardedConfig::Partition::kHash}) {
     ShardedConfig cfg;
+    cfg.shard.pma.use_rewiring = GetParam();
     cfg.num_shards = 4;
     cfg.partition = part;
     ShardedPMA pma(cfg);
@@ -335,8 +348,9 @@ TEST(ShardedSnapshot, DrainsCoalescingAndFreezesAllShards) {
   }
 }
 
-TEST(ShardedSnapshot, StormMergeStaysOrdered) {
+TEST_P(ShardedSnapshot, StormMergeStaysOrdered) {
   ShardedConfig cfg;
+  cfg.shard.pma.use_rewiring = GetParam();
   cfg.num_shards = 4;
   cfg.partition = ShardedConfig::Partition::kHash;  // k-way merge path
   ShardedPMA pma(cfg);
@@ -371,6 +385,10 @@ TEST(ShardedSnapshot, StormMergeStaysOrdered) {
   stop.store(true);
   for (auto& t : writers) t.join();
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, Snapshot, ::testing::Bool(), BackendName);
+INSTANTIATE_TEST_SUITE_P(Backends, ShardedSnapshot, ::testing::Bool(),
+                         BackendName);
 
 }  // namespace
 }  // namespace cpma

@@ -345,6 +345,7 @@ TEST_P(ChaosSoak, FaultStormConvergesToExactState) {
   failpoint::ClearAll();
   const SoakParam param = GetParam();
   ConcurrentConfig cfg = SoakConfig(param);
+  cfg.pma.use_rewiring = true;  // the rewiring.* sites need the memfd
   cfg.watchdog_ms = 50;  // exercised by the rebalancer.stall arms
   ConcurrentPMA pma(cfg);
 
