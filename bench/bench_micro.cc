@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <utility>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -217,6 +218,37 @@ void BM_ConcurrentPmaInsertMT(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConcurrentPmaInsertMT)->Threads(1)->Threads(4)->Threads(8);
+
+// The point-read descent end to end: static index -> gate -> route/card
+// slice -> segment, on a PMA far larger than the caches, so each step
+// is a miss unless prefetched. 2M keys spaced 2^24 apart, preloaded in
+// hashed (shuffled) order as a YCSB load phase does, then uniform
+// single-thread Finds of preloaded keys. Built once per process: the
+// preload dominates a run otherwise.
+void BM_ConcurrentPmaFind(benchmark::State& state) {
+  constexpr uint64_t kKeys = 2'000'000;
+  static ConcurrentPMA* pma = [] {
+    ConcurrentConfig cfg;
+    cfg.async_mode = ConcurrentConfig::AsyncMode::kSync;
+    auto* p = new ConcurrentPMA(cfg);
+    std::vector<uint64_t> order(kKeys);
+    for (uint64_t i = 0; i < kKeys; ++i) order[i] = i + 1;
+    Random shuffle(6);
+    for (uint64_t i = kKeys; i > 1; --i) {
+      std::swap(order[i - 1], order[shuffle.NextBounded(i)]);
+    }
+    for (uint64_t r : order) p->Insert(r << 24, r);
+    return p;
+  }();
+  Random rng(7);
+  for (auto _ : state) {
+    Value v;
+    const Key key = (1 + rng.NextBounded(kKeys)) << 24;
+    benchmark::DoNotOptimize(pma->Find(key, &v));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ConcurrentPmaFind);
 
 }  // namespace
 }  // namespace cpma

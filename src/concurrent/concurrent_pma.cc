@@ -25,6 +25,33 @@ namespace cpma {
 // ISSUE 2) instead of a per-TU scalar copy.
 using hotpath::SegmentLowerBound;
 
+namespace {
+
+// Prefetched descents. Every point op and a scan's first gate step down
+// index -> gate -> route/card slice -> segment, and each load there
+// would otherwise miss only once the one before it returned. Both steps
+// prefetch as soon as the address is known, so the misses overlap.
+
+/// The gate step, right after the index lookup: the gate's lines and its
+/// chunk's route and card slices. The slices start at gid * spg, so their
+/// addresses do not wait for the gate. A lookup that lands one gate off
+/// (a fence walk follows) only wastes the hint.
+void PrefetchGate(const Structure& snap, size_t gid) {
+  const Storage& st = *snap.storage;
+  const size_t spg = snap.segments_per_gate;
+  hotpath::PrefetchRange(&snap.gates[gid], sizeof(Gate));
+  hotpath::PrefetchRange(st.routes().data() + gid * spg, spg * sizeof(Key));
+  hotpath::PrefetchRange(st.cards() + gid * spg, spg * sizeof(uint32_t));
+}
+
+/// The segment step, right after the card: items [0, n) of `seg`, all
+/// lines the search (or an update's shift) may touch, before the search.
+void PrefetchItems(const Item* seg, size_t n) {
+  hotpath::PrefetchRange(seg, n * sizeof(Item));
+}
+
+}  // namespace
+
 void RecomputeFences(Structure* snap, size_t gb, size_t ge) {
   CPMA_CHECK(gb < ge && ge <= snap->num_gates());
   const Storage& st = *snap->storage;
@@ -229,6 +256,7 @@ void ConcurrentPMA::DispatchStamped(GateOp op) {
     for (;;) {
       Structure* snap = structure_.load(std::memory_order_acquire);
       size_t gid = snap->index->Lookup(cur.key);
+      PrefetchGate(*snap, gid);
       GateAccess a;
       Gate* gate;
       for (;;) {
@@ -414,6 +442,7 @@ bool ConcurrentPMA::ApplyOpLocal(Structure* snap, Gate* gate, const GateOp& op,
     const size_t s = LocateSegment(*snap, *gate, op.key);
     Item* seg = st->segment(s);
     const uint32_t card = st->card(s);
+    PrefetchItems(seg, card);  // the search, then the shift left
     const size_t pos = hotpath::SegmentLowerBoundForUpdate(seg, card, op.key);
     if (pos >= card || seg[pos].key != op.key) return true;  // absent
     // All live-item stores below are tagged: the gate version is odd
@@ -434,6 +463,9 @@ bool ConcurrentPMA::ApplyOpLocal(Structure* snap, Gate* gate, const GateOp& op,
     const size_t s = LocateSegment(*snap, *gate, op.key);
     Item* seg = st->segment(s);
     const uint32_t card = st->card(s);
+    // The shift right writes [pos, card]: one slot past the occupied
+    // prefix, which stays inside the segment.
+    PrefetchItems(seg, std::min<size_t>(card + 1, B));
     const size_t pos = hotpath::SegmentLowerBoundForUpdate(seg, card, op.key);
     if (pos < card && seg[pos].key == op.key) {
       TaggedStore(&seg[pos].value, op.value);  // upsert
@@ -646,6 +678,7 @@ ConcurrentPMA::OptRead ConcurrentPMA::TryOptimisticFind(const Structure& snap,
   const Storage& st = *snap.storage;
   const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
   size_t gid = snap.index->Lookup(key);
+  PrefetchGate(snap, gid);
   for (int attempt = 0; attempt < optimistic_retries_; ++attempt) {
     const Gate& gate = snap.gates[gid];
     const uint64_t v = gate.version().ReadBegin();
@@ -672,6 +705,7 @@ ConcurrentPMA::OptRead ConcurrentPMA::TryOptimisticFind(const Structure& snap,
     // Clamp a (possibly racing) cardinality so the search never leaves
     // the segment; any stored card is <= B, the min is belt-and-braces.
     const uint32_t card = std::min(st.card(s), B);
+    PrefetchItems(seg, card);
     const size_t pos = hotpath::TaggedSegmentLowerBound(seg, card, key);
     Item it{kKeySentinel, 0};
     if (pos < card) it = hotpath::TaggedLoadItem(seg + pos);
@@ -706,6 +740,7 @@ bool ConcurrentPMA::Find(Key key, Value* value) const {
     TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
     // Blocking fallback: the pre-optimistic READ-latch protocol.
     size_t gid = snap->index->Lookup(key);
+    PrefetchGate(*snap, gid);
     GateAccess a;
     Gate* gate;
     for (;;) {
@@ -729,6 +764,7 @@ bool ConcurrentPMA::Find(Key key, Value* value) const {
     const size_t s = LocateSegment(*snap, *gate, key);
     const Item* seg = st.segment(s);
     const uint32_t card = st.card(s);
+    PrefetchItems(seg, card);
     const size_t pos = SegmentLowerBound(seg, card, key);
     const bool found = pos < card && seg[pos].key == key;
     if (found && value != nullptr) *value = seg[pos].value;
@@ -841,8 +877,10 @@ bool ConcurrentPMA::VisitGates(EpochGuard* guard, Key* from, Key max,
     const Storage& st = *snap->storage;
     const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
     size_t gid = snap->index->Lookup(*from);
+    PrefetchGate(*snap, gid);
     int attempts = 0;      // failed windows on this gate since progress
     bool latched = false;  // budget spent: READ latch until the gate ends
+    bool resume = true;    // this gate's first segment is searched for *from
     for (;;) {
       Gate& gate = snap->gates[gid];
       uint64_t v = 0;
@@ -911,8 +949,9 @@ bool ConcurrentPMA::VisitGates(EpochGuard* guard, Key* from, Key max,
       Step step = Step::kGateEnd;
       bool held = false;  // the reader holds items not yet handed over
       Key held_last = 0;  // the greatest of them
-      for (size_t s = LocateSegment(*snap, gate, *from);
-           step == Step::kGateEnd && s < gate.seg_end(); ++s) {
+      size_t s = LocateSegment(*snap, gate, *from);
+      if (resume) PrefetchItems(st.segment(s), std::min(st.card(s), B));
+      for (; step == Step::kGateEnd && s < gate.seg_end(); ++s) {
         // Prefetch stays inside the gate: card(s+1) of a foreign gate
         // would race with its writer outside any validated window.
         if (s + 1 < gate.seg_end()) {
@@ -986,6 +1025,7 @@ bool ConcurrentPMA::VisitGates(EpochGuard* guard, Key* from, Key max,
       ++gid;
       attempts = 0;
       latched = false;
+      resume = false;
     }
     guard->Refresh();  // the snapshot was retired by a resize
   }
@@ -1041,19 +1081,22 @@ size_t ConcurrentPMA::storage_backing_page_bytes() const {
 
 uint64_t ConcurrentPMA::storage_num_remaps() const {
   EpochGuard guard(gc_);
-  return structure_.load(std::memory_order_acquire)->storage->num_remaps();
+  const Structure* snap = structure_.load(std::memory_order_acquire);
+  return snap->retired_publishes.remaps + snap->storage->num_remaps();
 }
 
 uint64_t ConcurrentPMA::storage_num_fallback_copies() const {
   EpochGuard guard(gc_);
-  return structure_.load(std::memory_order_acquire)
-      ->storage->num_fallback_copies();
+  const Structure* snap = structure_.load(std::memory_order_acquire);
+  return snap->retired_publishes.fallback_copies +
+         snap->storage->num_fallback_copies();
 }
 
 uint64_t ConcurrentPMA::storage_num_remap_failures() const {
   EpochGuard guard(gc_);
-  return structure_.load(std::memory_order_acquire)
-      ->storage->num_remap_failures();
+  const Structure* snap = structure_.load(std::memory_order_acquire);
+  return snap->retired_publishes.remap_failures +
+         snap->storage->num_remap_failures();
 }
 
 // --------------------------------------------- fault tolerance (ISSUE 7)

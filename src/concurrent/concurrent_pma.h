@@ -8,7 +8,9 @@
 //
 // Writer protocol (writers hold at most one latch):
 //   1. enter an epoch; load the current snapshot (storage+gates+index);
-//   2. traverse the static index without latches -> candidate gate;
+//   2. traverse the static index without latches -> candidate gate, then
+//      prefetch the gate's lines and its chunk's route/card slices (their
+//      addresses follow from the gate id alone) so the misses overlap;
 //   3. acquire the gate latch; the fence keys decide whether the key
 //      belongs here — if not, walk to the neighbour gate;
 //   4. if the gate is invalidated (resize happened), refresh the epoch
@@ -23,18 +25,24 @@
 //      mode). Layout rule: a field every op reads (`structure_`) never
 //      shares a cache line with a word that ops read-modify-write per op
 //      (`count_`, `seq_gen_`, `pending_async_`, the stat counters).
+//      Once the owner knows its segment and card, it prefetches items
+//      [0, card] (the search, then the shift) before searching.
 //
 // Reader protocol (ISSUE 4 — optimistic, normally latch-free): readers
 // run the same descent but, instead of taking the READ latch, snapshot
 // the gate's sequence-lock version word (gate.h (f)):
-//   1. enter an epoch; load the snapshot; index descent -> candidate;
+//   1. enter an epoch; load the snapshot; index descent -> candidate,
+//      and the same gate/route/card prefetch as a writer's step 2;
 //   2. read the gate version; if odd (writer/rebalancer active), retry;
 //   3. check `invalidated`: a retired gate means refresh + restart;
 //   4. read the fence keys and — only after re-validating the version,
 //      which proves the [low, high] pair was untorn — walk to the
 //      neighbour gate on mismatch, exactly like the latched descent;
 //   5. run the SIMD segment search / scan read directly on the live
-//      storage with tagged accesses (common/tagged.h). Scans and SumAll
+//      storage with tagged accesses (common/tagged.h), after prefetching
+//      the target segment's occupied prefix [0, card) (a scan: its first
+//      gate's resume segment; later segments get the 4-line prefetch of
+//      the next segment). Scans and SumAll
 //      start at the resume key's segment and work one segment run at a
 //      time: a run is read inside the window, validated, and only then
 //      handed over — Scan emits from a bounded stack copy and stops the
@@ -121,11 +129,24 @@ struct Structure;
 /// caller must own the gates (or be single-threaded at construction).
 void RecomputeFences(Structure* snap, size_t gb, size_t ge);
 
+/// Publish counters (Storage::num_remaps and friends) summed over the
+/// storages that resizes retired.
+struct PublishTotals {
+  uint64_t remaps = 0;
+  uint64_t fallback_copies = 0;
+  uint64_t remap_failures = 0;
+};
+
 /// Everything that is replaced wholesale by a resize. Clients reach a
 /// Structure through an atomic pointer and keep it alive via their epoch.
 struct Structure {
   uint64_t version = 0;
   std::unique_ptr<Storage> storage;
+  // What every earlier storage of this PMA published. A resize carries
+  // it forward plus the retiring storage's own counts, so it travels
+  // with the storage it precedes: a reader of one Structure never counts
+  // a retired storage twice or not at all.
+  PublishTotals retired_publishes;
   std::deque<Gate> gates;  // deque: Gate is immovable (mutex member)
   std::unique_ptr<StaticIndex> index;
   size_t segments_per_gate = 8;
@@ -262,7 +283,8 @@ class ConcurrentPMA : public OrderedMap {
 
   // Storage observability (ROADMAP huge-page visibility): what publish
   // mechanism and page size the current snapshot actually uses, for
-  // bench JSON records.
+  // bench JSON records. The three publish counters are lifetime totals
+  // over every storage this PMA had, so a resize never lowers them.
   bool storage_rewiring_enabled() const;
   size_t storage_page_bytes() const;
   size_t storage_backing_page_bytes() const;

@@ -549,6 +549,12 @@ bool Rebalancer::ExecuteResize(Structure* snap, std::vector<GateOp> extra) {
   consecutive_resize_failures_ = 0;
 
   Progress("resize:publish");
+  // Every gate is held, so the old storage publishes nothing more: its
+  // counts are final and join the lifetime totals the new one carries.
+  ns->retired_publishes = snap->retired_publishes;
+  ns->retired_publishes.remaps += st->num_remaps();
+  ns->retired_publishes.fallback_copies += st->num_fallback_copies();
+  ns->retired_publishes.remap_failures += st->num_remap_failures();
   pma_->count_.store(total, std::memory_order_relaxed);
   pma_->structure_.store(ns, std::memory_order_release);
   pma_->stat_resizes_.fetch_add(1, std::memory_order_relaxed);

@@ -65,6 +65,9 @@ class Storage {
   // gate version validation discards the unstable window.
   uint32_t card(size_t s) const { return TaggedLoad(&card_[s]); }
   void set_card(size_t s, uint32_t c) { TaggedStore(&card_[s], c); }
+  /// Base of the card array, for prefetching a gate's slice before any
+  /// card is read; reads still go through card().
+  const uint32_t* cards() const { return card_.data(); }
 
   Key route(size_t s) const { return TaggedLoad(&route_[s]); }
   void set_route(size_t s, Key k) { TaggedStore(&route_[s], k); }

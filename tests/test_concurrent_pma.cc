@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <set>
@@ -468,6 +469,59 @@ TEST(ConcurrentPmaStats, RebalancesAndBatchesAreCounted) {
   pma.Flush();
   EXPECT_GT(pma.num_local_rebalances(), 0u);
   EXPECT_GT(pma.num_resizes(), 0u);
+}
+
+// The storage publish counters are lifetime totals: a resize swaps in a
+// fresh Storage whose own counters start at zero, and the retired one's
+// counts must carry over instead of vanishing. Checked after every
+// insert (sync mode: a resize the insert triggered is published when it
+// returns) and by a concurrent poller, on both backends.
+TEST(ConcurrentPmaStats, PublishCountersNeverDropAcrossResizes) {
+  for (const bool rewired : {false, true}) {
+    SCOPED_TRACE(rewired ? "rewired backend" : "copy backend");
+    ConcurrentConfig cfg = SmallConfig(AsyncMode::kSync);
+    cfg.pma.use_rewiring = rewired;
+    ConcurrentPMA pma(cfg);
+    struct Counts {
+      uint64_t remaps, copies, failures;
+    };
+    auto read = [&pma] {
+      return Counts{pma.storage_num_remaps(),
+                    pma.storage_num_fallback_copies(),
+                    pma.storage_num_remap_failures()};
+    };
+    auto never_lower = [](const Counts& before, const Counts& now) {
+      return now.remaps >= before.remaps && now.copies >= before.copies &&
+             now.failures >= before.failures;
+    };
+    std::atomic<bool> stop{false};
+    std::atomic<bool> poller_saw_drop{false};
+    std::thread poller([&] {
+      Counts prev = read();
+      while (!stop.load(std::memory_order_relaxed)) {
+        const Counts now = read();
+        if (!never_lower(prev, now)) poller_saw_drop = true;
+        prev = now;
+      }
+    });
+    Counts prev = read();
+    bool dropped = false;
+    Random rng(17);
+    for (int i = 0; i < 20000 && !dropped; ++i) {
+      pma.Insert(rng.NextBounded(1 << 20), i);
+      const Counts now = read();
+      dropped = !never_lower(prev, now);
+      prev = now;
+    }
+    stop = true;
+    poller.join();
+    EXPECT_FALSE(dropped) << "a publish counter went down after "
+                          << pma.num_resizes() << " resizes";
+    EXPECT_FALSE(poller_saw_drop);
+    EXPECT_GE(pma.num_resizes(), 2u) << "the storm must resize twice";
+    // Every in-gate spread publishes at least once (a copy or remaps).
+    EXPECT_GE(prev.remaps + prev.copies, pma.num_local_rebalances());
+  }
 }
 
 }  // namespace

@@ -34,8 +34,10 @@
 
 #include "common/failpoint.h"
 #include "common/random.h"
+#include "common/tagged.h"
 #include "concurrent/concurrent_pma.h"
 #include "persist/checkpoint.h"
+#include "pma/item.h"
 
 namespace cpma {
 namespace {
@@ -62,9 +64,20 @@ struct Op {
   Value value;
 };
 
+// The storm a case runs: its storage and its op stream.
+enum class Storm {
+  kCopy,     // anonymous region (copy publishes), random keys
+  kRewired,  // memfd region (page-aligned windows remap), random keys
+  // Memfd region with one page per segment, so every rebalance window is
+  // page-aligned and publishes by remapping, and appending inserts, so
+  // the tail segment keeps overflowing: a window every ~150 ops, ~35 per
+  // storm, where random keys over kKeySpace settle after ~3.
+  kRemapEveryWindow,
+};
+
 // The storm both processes derive independently: child applies all of
 // it; parent replays the prefix [0, app_stamp) as the oracle.
-std::vector<Op> OpStream(uint64_t seed) {
+std::vector<Op> OpStream(uint64_t seed, Storm storm) {
   std::vector<Op> ops;
   ops.reserve(kOps);
   Random rng(seed * 0x9E3779B97F4A7C15ull + 1);
@@ -73,29 +86,45 @@ std::vector<Op> OpStream(uint64_t seed) {
     op.key = rng.NextBounded(kKeySpace) + 1;
     op.is_insert = rng.NextBounded(4) != 0;  // 25% deletes
     op.value = rng.Next() >> 1;
+    if (storm == Storm::kRemapEveryWindow) {
+      // Insert the next fresh key; delete one issued before.
+      op.key = op.is_insert ? i + 1 : rng.NextBounded(i + 1) + 1;
+    }
     ops.push_back(op);
   }
   return ops;
 }
 
-ConcurrentConfig StormConfig(bool use_rewiring = false) {
+ConcurrentConfig StormConfig(Storm storm = Storm::kCopy) {
   ConcurrentConfig cfg;
-  cfg.pma.use_rewiring = use_rewiring;
+  cfg.pma.use_rewiring = storm != Storm::kCopy;
   cfg.pma.segment_capacity = 16;  // tiny: force rebalances + resizes
+  if (storm == Storm::kRemapEveryWindow) {
+    cfg.pma.segment_capacity =
+        static_cast<size_t>(::sysconf(_SC_PAGESIZE)) / sizeof(Item);
+  }
   cfg.segments_per_gate = 4;
   cfg.rebalancer_workers = 2;
   return cfg;
 }
 
+// The child's exit code when the kRemapEveryWindow storm finds its
+// storage unable to remap (no memfd here: copy publishes only).
+constexpr int kNoRewiringExitCode = 4;
+
 // Child body. Never returns; exits 0 (storm completed), crashes with
-// failpoint::kCrashExitCode (the armed site fired), or exits 2/3 on a
-// harness bug (the parent fails the test on those).
+// failpoint::kCrashExitCode (the armed site fired), exits
+// kNoRewiringExitCode, or exits 2/3 on a harness bug (the parent fails
+// the test on those).
 [[noreturn]] void RunChild(const std::string& root, uint64_t seed,
                            const char* site, const std::string& policy,
-                           bool use_rewiring) {
+                           Storm storm) {
   if (!failpoint::Set(site, policy.c_str())) ::_exit(2);
-  const std::vector<Op> ops = OpStream(seed);
-  ConcurrentPMA pma(StormConfig(use_rewiring));
+  const std::vector<Op> ops = OpStream(seed, storm);
+  ConcurrentPMA pma(StormConfig(storm));
+  if (storm == Storm::kRemapEveryWindow && !pma.storage_rewiring_enabled()) {
+    ::_exit(kNoRewiringExitCode);
+  }
   for (size_t i = 0; i < ops.size(); ++i) {
     if (ops[i].is_insert) {
       pma.Insert(ops[i].key, ops[i].value);
@@ -149,30 +178,38 @@ class CrashRecoveryTest : public ::testing::Test {
   }
 
   // Fork the storm with `site` armed, then recover and verify exactly.
-  // `deterministic` sites are hit on every checkpoint attempt, so the
+  // `deterministic` sites are hit on every run of the storm, so the
   // child MUST die by the crash exit code; opportunistic sites (inside
-  // the background rebalancer) may legitimately never fire. The storm
-  // runs on the rewired backend when `use_rewiring`.
+  // the background rebalancer) may legitimately never fire. The
+  // kRemapEveryWindow storm is skipped where its storage cannot remap.
   void RunCase(const char* site, bool deterministic,
-               bool use_rewiring = false) {
+               Storm storm = Storm::kCopy) {
     SCOPED_TRACE(site);
     const uint64_t seed = CrashSeed();
-    // 1..3 fires before the crash: lands the plug-pull at different
-    // depths of the publication protocol run to run.
+    // The crash lands on hit 1..depths of the site, at different depths
+    // of the protocol (or of the storm) run to run. A checkpoint hits
+    // each persist site at least once; the remap storm publishes ~35
+    // windows, so its crash may land after any of the first checkpoints.
+    // The stride 7 spreads consecutive seeds over the depths.
+    const uint64_t depths = storm == Storm::kRemapEveryWindow ? 30 : 3;
     char policy[32];
     std::snprintf(policy, sizeof(policy), "nth:%llu!crash",
-                  static_cast<unsigned long long>(1 + seed % 3));
+                  static_cast<unsigned long long>(1 + seed * 7 % depths));
 
     ::pid_t pid = ::fork();
     ASSERT_GE(pid, 0) << "fork failed";
     if (pid == 0) {
-      RunChild(root_, seed, site, policy, use_rewiring);  // never returns
+      RunChild(root_, seed, site, policy, storm);  // never returns
     }
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
                                    << WTERMSIG(status);
     const int code = WEXITSTATUS(status);
+    if (code == kNoRewiringExitCode) {
+      GTEST_SKIP() << site << " needs remap publishes, but the storage "
+                   << "runs on copy publishes (memfd unavailable)";
+    }
     const bool crashed = code == failpoint::kCrashExitCode;
     ASSERT_TRUE(code == 0 || crashed) << "child exit " << code;
     if (deterministic) {
@@ -201,7 +238,7 @@ class CrashRecoveryTest : public ::testing::Test {
     EXPECT_EQ(rinfo.seq, info.seq);
 
     // 3. The oracle: the exact op prefix the manifest claims.
-    const std::vector<Op> ops = OpStream(seed);
+    const std::vector<Op> ops = OpStream(seed, storm);
     std::map<Key, Value> oracle;
     for (size_t i = 0; i < info.app_stamp; ++i) {
       if (ops[i].is_insert) {
@@ -255,15 +292,23 @@ TEST_F(CrashRecoveryTest, MidGcUnlink) {
   RunCase("persist.gc_unlink", true);
 }
 
-// Opportunistic sites inside the storage/rebalance layers: the crash
-// lands mid-rebalance (remap publication) or mid-COW-grow rather than
-// inside the persist protocol. Surviving the whole storm without the
-// site firing is a valid outcome (e.g. a fallback-mode sandbox).
+// The crash lands mid-rebalance, in a remap publication rather than
+// inside the persist protocol. The kRemapEveryWindow storm publishes
+// every window by remapping, so the site must fire.
 TEST_F(CrashRecoveryTest, MidRemapPublication) {
-  RunCase("rewiring.remap", /*deterministic=*/false, /*use_rewiring=*/true);
+#if CPMA_TSAN
+  GTEST_SKIP() << "TSan builds publish every window by copy (no remaps)";
+#else
+  RunCase("rewiring.remap", /*deterministic=*/true,
+          Storm::kRemapEveryWindow);
+#endif
 }
+
+// Opportunistic sites inside the storage layer: the crash lands
+// mid-COW-grow or mid-region-create. Surviving the whole storm without
+// the site firing is a valid outcome (e.g. a fallback-mode sandbox).
 TEST_F(CrashRecoveryTest, MidCowPageGrow) {
-  RunCase("rewiring.cow_grow", false, true);
+  RunCase("rewiring.cow_grow", false, Storm::kRewired);
 }
 TEST_F(CrashRecoveryTest, MidRegionCreate) {
   RunCase("storage.create", false);

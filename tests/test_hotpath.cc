@@ -7,6 +7,8 @@
 // read by the vector window logic.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
@@ -141,6 +143,41 @@ TEST(HotpathSearch, PrefetchSegmentIsSafeOnAllCardinalities) {
     hotpath::PrefetchSegment(seg.data(), static_cast<uint32_t>(card));
   }
   SUCCEED();
+}
+
+TEST(HotpathSearch, PrefetchRangeIsSafeOnAllCardinalities) {
+  // The descents prefetch a segment's occupied prefix [0, card), and an
+  // insert [0, card] capped at B. Place the segment flush against the
+  // end of its mapping, with an inaccessible page right after it: if the
+  // helper ever named (or touched) a byte past the range, a real load
+  // would fault here. ASan sees it too, since the items it is given
+  // always fit the segment.
+  constexpr size_t B = 128;
+  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  ASSERT_GE(page, B * sizeof(Item));
+  void* map = ::mmap(nullptr, 2 * page, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(map, MAP_FAILED);
+  char* base = static_cast<char*>(map);
+  ASSERT_EQ(::mprotect(base + page, page, PROT_NONE), 0);
+  Item* seg = reinterpret_cast<Item*>(base + page) - B;
+  for (size_t i = 0; i < B; ++i) seg[i] = Item{2 * i + 1, i};
+  for (size_t card = 0; card <= B; ++card) {
+    hotpath::PrefetchRange(seg, card * sizeof(Item));
+    hotpath::PrefetchRange(seg, std::min(card + 1, B) * sizeof(Item));
+    // The prefetch changes nothing the search then reads.
+    const Key probe = 2 * (card / 2);  // falls between stored keys
+    EXPECT_EQ(hotpath::SegmentLowerBound(seg, card, probe),
+              std::min(card, card / 2));
+  }
+  // Unaligned starts and ranges inside one line.
+  for (size_t off = 0; off < 64; ++off) {
+    hotpath::PrefetchRange(reinterpret_cast<char*>(seg) + off, 1);
+    hotpath::PrefetchRange(base + page - 1 - off, off + 1);
+  }
+  hotpath::PrefetchRange(base + page, 0);  // empty: names no byte at all
+  EXPECT_EQ(seg[B - 1].key, 2 * (B - 1) + 1);
+  ASSERT_EQ(::munmap(map, 2 * page), 0);
 }
 
 // ci.sh and the scalar-fallback CI job grep this test's output to check
